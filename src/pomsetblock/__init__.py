@@ -29,7 +29,7 @@ from .errors import (
     SpaceTooLarge,
 )
 from .multiset import Multiset
-from .pomset import Ideal, Pomset, make_pomset
+from .pomset import Ideal, Pomset
 from .block_space import (
     DEFAULT_CAP,
     BlockSpace,
@@ -70,7 +70,6 @@ from .weight_dist import (
     weight_distribution,
     weight_distribution_enumerated,
     weight_shell_size,
-    weight_shell_size_enumerated,
 )
 from .codes import (
     Code,
@@ -108,7 +107,6 @@ from .fileio import (
     load_space,
     parse_code,
     parse_ideal,
-    parse_multiset,
     parse_space,
     parse_vector,
 )

@@ -121,6 +121,31 @@ class BlockSpace:
         for coords in self.coord_tuples(cap):
             yield BlockVector(self, coords)
 
+    def span(self, rows, limit: int) -> set[tuple[int, ...]]:
+        """The Z_m-span of ``rows`` (reduced coordinate tuples).
+
+        Starts from {0}; each row not yet in the set replaces it with
+        {w + c*row : w in the set, c in Z_m}, which is again a subgroup.
+        Stops as soon as the set holds more than ``limit`` words and
+        returns that partial set, so ``len(result) > limit`` says the span
+        is larger than ``limit`` and ``span(S, len(S)) == S`` says exactly
+        that a finite set S is closed under addition (hence a submodule).
+        """
+        m = self.m
+        words = {(0,) * self.N}
+        for row in rows:
+            if row in words:
+                continue
+            multiples = [tuple(c * x % m for x in row) for c in range(1, m)]
+            grown = set(words)
+            for w in words:
+                for step in multiples:
+                    grown.add(tuple((a + b) % m for a, b in zip(w, step)))
+                if len(grown) > limit:
+                    return grown
+            words = grown
+        return words
+
     # ----- metrics ----------------------------------------------------------
 
     def distance(self, u: BlockVector, v: BlockVector) -> int:
@@ -182,27 +207,22 @@ class BlockVector:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
+    def _profile(self) -> tuple[int, ...]:
+        return tuple(self.block_max_lee(i) for i in range(1, self.space.n + 1))
+
     def support(self) -> Multiset:
         """Block support: each block's maximum Lee weight (0 for zero blocks)."""
         space = self.space
-        return Multiset(
-            space.n,
-            space.max_lee,
-            tuple(self.block_max_lee(i) for i in range(1, space.n + 1)),
-        )
+        return Multiset(space.n, space.max_lee, self._profile())
 
     def weight(self) -> int:
         """Cardinality of the ideal generated by the block support."""
-        return self.space.pomset.ideal_generated(self.support()).cardinality
+        return sum(self.space.pomset.generated_counts(self._profile()))
 
     def poset_weight(self) -> int:
         """Number of block positions in the down-set of the nonzero blocks."""
-        pomset = self.space.pomset
-        root = self.support().root_set
-        down = set(root)
-        for i in root:
-            down |= pomset.strictly_below(i)
-        return len(down)
+        root = {i for i, c in enumerate(self._profile(), 1) if c}
+        return len(root | self.space.pomset.strictly_below_set(root))
 
     def literal(self) -> str:
         return " ".join(str(x) for x in self.coords)
@@ -245,15 +265,12 @@ def pw_weight(v: BlockVector) -> int:
     space = v.space
     if any(k != 1 for k in space.pi):
         raise NonUnitBlocks("weighted-coordinates weight needs unit blocks")
-    pomset = space.pomset
-    root = frozenset(i for i in range(1, space.n + 1) if v.coords[i - 1])
-    down = set(root)
-    for i in root:
-        down |= pomset.strictly_below(i)
-    maximal = {i for i in down if not (pomset.strictly_above(i) & down)}
-    h = space.max_lee
-    return sum(lee_weight(v.coords[i - 1], space.m) for i in maximal) + h * (
-        len(down) - len(maximal)
+    root = {i for i in range(1, space.n + 1) if v.coords[i - 1]}
+    # everything strictly below the support is charged in full; what is
+    # left of the support is the maximal part of its down-set
+    below = space.pomset.strictly_below_set(root)
+    return sum(lee_weight(v.coords[i - 1], space.m) for i in root - below) + (
+        space.max_lee * len(below)
     )
 
 

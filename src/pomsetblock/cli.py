@@ -14,9 +14,9 @@ from .balls import (
     full_count_structure,
     i_ball,
     i_ball_size,
+    i_ball_size_enumerated,
     i_sphere_size,
     nonlinearity_witness,
-    profile_census,
     r_ball,
     r_ball_size,
     r_sphere_size,
@@ -82,15 +82,12 @@ def _cmd_ballsize(args) -> int:
                 size = len(i_ball(center, parse_ideal(space, args.ideal), args.cap))
             else:
                 size = len(r_ball(center, args.radius, args.cap))
+        elif args.ideal is not None:
+            size = i_ball_size_enumerated(
+                space, parse_ideal(space, args.ideal), args.cap)
         else:
-            census = support_census(space, args.cap)
-            if args.ideal is not None:
-                want = parse_ideal(space, args.ideal).counts.counts
-                size = sum(c for key, c in census.items()
-                           if all(a <= b for a, b in zip(key, want)))
-            else:
-                size = sum(c for key, c in census.items()
-                           if sum(key) <= args.radius)
+            shells = weight_distribution_enumerated(space, args.cap).shells
+            size = sum(a for r, a in enumerate(shells) if r <= args.radius)
     else:
         if args.ideal is not None:
             size = i_ball_size(space, parse_ideal(space, args.ideal))
@@ -127,7 +124,7 @@ def _cmd_perfect(args) -> int:
         sys.stdout.write(format_code(code))
         return 0
     # verify
-    code = load_code(space, args.code)
+    code = load_code(space, args.code, args.cap)
     if (args.ideal is None) == (args.radius is None):
         _err("give exactly one of --ideal or --radius")
         return 2
@@ -148,7 +145,7 @@ def _cmd_perfect(args) -> int:
 
 def _cmd_mds(args) -> int:
     space = load_space(args.space)
-    code = load_code(space, args.code)
+    code = load_code(space, args.code, args.cap)
     report = chain_ops.singleton_report(code)
     print(f"min-distance\t{report.d if report.d is not None else '-'}")
     print(f"prefix-blocks\t{report.r}")
@@ -160,14 +157,14 @@ def _cmd_mds(args) -> int:
 
 def _cmd_dual(args) -> int:
     space = load_space(args.space)
-    code = load_code(space, args.code)
+    code = load_code(space, args.code, args.cap)
     sys.stdout.write(format_code(dual_code(code, args.cap)))
     return 0
 
 
 def _cmd_packrad(args) -> int:
     space = load_space(args.space)
-    code = load_code(space, args.code)
+    code = load_code(space, args.code, args.cap)
     brute = chain_ops.packing_radius(code, args.cap)
     print(f"bruteforce\t{brute}")
     if space.pomset.is_chain():
@@ -180,7 +177,7 @@ def _cmd_packrad(args) -> int:
 
 def _cmd_duality4(args) -> int:
     space = load_space(args.space)
-    code = load_code(space, args.code)
+    code = load_code(space, args.code, args.cap)
     report = chain_ops.duality_equivalence(code, args.cap)
     print(f"mds\t{str(report.mds_primal).lower()}")
     print(f"perfect\t{str(report.perfect_primal).lower()}")
@@ -195,11 +192,7 @@ def _cmd_selftest(args) -> int:
     cap = args.cap
     rows: list[tuple[str, str, object, object, bool]] = []
 
-    pc = profile_census(space, cap)
-    census: dict[tuple[int, ...], int] = {}
-    for profile, mult in pc.items():
-        key = space.pomset.generated_counts(profile)
-        census[key] = census.get(key, 0) + mult
+    census = support_census(space, cap)
     ideals = space.pomset.ideals()
     top = space.n * space.max_lee
 
@@ -255,7 +248,9 @@ def _cmd_selftest(args) -> int:
             report.expected_ball_size, report.ball_size, report.ok,
         ))
 
-    # partial-count ball sizes and non-closure witnesses
+    # partial-count ball sizes and non-closure witnesses; since an ideal is
+    # down-closed, a support fits in it exactly when the ideal the support
+    # generates does, so the ball is the census below the ideal
     ok = True
     f_sum = o_sum = 0
     witnesses = 0
@@ -263,8 +258,8 @@ def _cmd_selftest(args) -> int:
     for ideal in partial_ideals:
         f = i_ball_size(space, ideal)
         want = ideal.counts.counts
-        o = sum(mult for profile, mult in pc.items()
-                if all(a <= b for a, b in zip(profile, want)))
+        o = sum(mult for key, mult in census.items()
+                if all(a <= b for a, b in zip(key, want)))
         f_sum += f
         o_sum += o
         ok = ok and f == o

@@ -21,9 +21,8 @@ from .pomset import Ideal
 class Code:
     """A nonempty deduplicated set of vectors from one block space.
 
-    ``linear`` is a verified property (closure scan over all codeword
-    pairs; scalars follow over Z_m), computed on first use, never a trust
-    flag.
+    ``linear`` is a verified property (the code equals its own span),
+    computed on first use, never a trust flag.
     """
 
     __slots__ = ("space", "codewords", "_coord_set", "_linear")
@@ -45,21 +44,21 @@ class Code:
         self._linear = None
 
     @classmethod
-    def from_generators(cls, space: BlockSpace, rows) -> Code:
-        """The span of the given rows: all Z_m-linear combinations."""
-        gens = []
-        for r in rows:
-            coords = r.coords if isinstance(r, BlockVector) else tuple(r)
-            gens.append(space.vector(coords).coords)
-        m, N = space.m, space.N
-        words = set()
-        for coeffs in product(range(m), repeat=len(gens)):
-            acc = [0] * N
-            for a, g in zip(coeffs, gens):
-                if a:
-                    for idx, x in enumerate(g):
-                        acc[idx] += a * x
-            words.add(tuple(v % m for v in acc))
+    def from_generators(cls, space: BlockSpace, rows,
+                        cap: int = DEFAULT_CAP) -> Code:
+        """The span of the given rows: all Z_m-linear combinations.
+
+        Raises ``SpaceTooLarge`` as soon as the span passes ``cap`` words.
+        """
+        gens = [
+            space.vector(r.coords if isinstance(r, BlockVector) else r).coords
+            for r in rows
+        ]
+        words = space.span(gens, cap)
+        if len(words) > cap:
+            raise SpaceTooLarge(
+                f"span of {len(gens)} generator rows exceeds the cap {cap}"
+            )
         return cls(space, words)
 
     @property
@@ -69,19 +68,8 @@ class Code:
     @property
     def linear(self) -> bool:
         if self._linear is None:
-            m = self.space.m
-            words = [w.coords for w in self.codewords]
             inside = self._coord_set
-            ok = (0,) * self.space.N in inside
-            if ok:
-                for a in words:
-                    for b in words:
-                        if tuple((x + y) % m for x, y in zip(a, b)) not in inside:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            self._linear = ok
+            self._linear = self.space.span(inside, len(inside)) == inside
         return self._linear
 
     def __len__(self) -> int:

@@ -14,7 +14,7 @@ expanded to their span on load). ``#`` starts a comment anywhere.
 
 from __future__ import annotations
 
-from .block_space import BlockSpace, BlockVector
+from .block_space import DEFAULT_CAP, BlockSpace, BlockVector
 from .codes import Code
 from .errors import ParseError
 from .multiset import Multiset
@@ -34,6 +34,8 @@ def parse_space(text: str) -> BlockSpace:
     pairs: list[tuple[int, int]] = []
     for lineno, line in _content_lines(text):
         key, *rest = line.split()
+        if (key == "m" and m is not None) or (key == "blocks" and blocks is not None):
+            raise ParseError(f"repeated {key!r} line", lineno)
         if key == "m":
             if len(rest) != 1:
                 raise ParseError("want exactly one modulus", lineno)
@@ -41,6 +43,8 @@ def parse_space(text: str) -> BlockSpace:
                 m = int(rest[0])
             except ValueError:
                 raise ParseError(f"bad modulus {rest[0]!r}", lineno) from None
+            if m < 2:
+                raise ParseError(f"modulus must be at least 2, got {m}", lineno)
         elif key == "blocks":
             try:
                 blocks = tuple(int(t) for t in rest)
@@ -91,15 +95,13 @@ def parse_vector(space: BlockSpace, text: str) -> BlockVector:
         raise ParseError(f"bad vector literal {text!r}") from None
 
 
-def parse_multiset(text: str, n: int, height: int) -> Multiset:
-    return Multiset.parse(text, n, height)
-
-
 def parse_ideal(space: BlockSpace, text: str) -> Ideal:
-    return Ideal(space.pomset, parse_multiset(text, space.n, space.max_lee))
+    return Ideal(space.pomset, Multiset.parse(text, space.n, space.max_lee))
 
 
-def parse_code(space: BlockSpace, text: str) -> Code:
+def parse_code(space: BlockSpace, text: str, cap: int = DEFAULT_CAP) -> Code:
+    """Parse a code file; a ``linear`` file is expanded to its span, which
+    may hold at most ``cap`` words."""
     directive = None
     rows: list[BlockVector] = []
     for lineno, line in _content_lines(text):
@@ -120,7 +122,7 @@ def parse_code(space: BlockSpace, text: str) -> Code:
     if not rows:
         raise ParseError("code file lists no vectors")
     if directive == "linear":
-        return Code.from_generators(space, rows)
+        return Code.from_generators(space, rows, cap)
     return Code(space, rows)
 
 
@@ -135,6 +137,6 @@ def load_space(path) -> BlockSpace:
         return parse_space(fh.read())
 
 
-def load_code(space: BlockSpace, path) -> Code:
+def load_code(space: BlockSpace, path, cap: int = DEFAULT_CAP) -> Code:
     with open(path, encoding="utf-8") as fh:
-        return parse_code(space, fh.read())
+        return parse_code(space, fh.read(), cap)

@@ -74,6 +74,14 @@ class Pomset:
     def strictly_above(self, i: int) -> frozenset[int]:
         return self._above[i]
 
+    def strictly_below_set(self, elements) -> set[int]:
+        """Elements strictly below some member of ``elements``; with the
+        members themselves this is their down-set."""
+        down: set[int] = set()
+        for i in elements:
+            down |= self._below[i]
+        return down
+
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
         """All strict pairs ``(i, j)`` with i below j, transitively closed."""
@@ -149,10 +157,8 @@ class Pomset:
         """Closure of a raw count sequence (index 0 holds element 1)."""
         h = self.height
         gen = list(counts)
-        for i, c in enumerate(counts, 1):
-            if c > 0:
-                for j in self._below[i]:
-                    gen[j - 1] = h
+        for j in self.strictly_below_set([i for i, c in enumerate(counts, 1) if c]):
+            gen[j - 1] = h
         return tuple(gen)
 
     def ideal_generated(self, mset: Multiset) -> Ideal:
@@ -225,11 +231,6 @@ class Pomset:
     def __repr__(self) -> str:
         rel = " ".join(f"{i}<{j}" for i, j in self.cover_pairs())
         return f"Pomset(n={self.n}, height={self.height}, {rel or 'antichain'})"
-
-
-def make_pomset(n: int, height: int, pairs=()) -> Pomset:
-    """Convenience constructor mirroring the ``Pomset`` signature."""
-    return Pomset(n, height, pairs)
 
 
 class Ideal:

@@ -111,11 +111,6 @@ def weight_distribution_enumerated(space: BlockSpace,
     return WeightDistribution(space, tuple(shells))
 
 
-def weight_shell_size_enumerated(space: BlockSpace, r: int,
-                                 cap: int = DEFAULT_CAP) -> int:
-    return weight_distribution_enumerated(space, cap).shells[r]
-
-
 def chain_shell_size(space: BlockSpace, r: int) -> int:
     """Shell count over a chain order, in closed form.
 

@@ -90,6 +90,32 @@ def weight_array(m: int, pi: tuple[int, ...], order: str) -> tuple[int, ...]:
     )
 
 
+def odometer_span(space: pb.BlockSpace, rows) -> set[tuple[int, ...]]:
+    """Oracle for ``BlockSpace.span``: walk all m^len(rows) coefficient
+    vectors and collect every Z_m-combination of the rows."""
+    m, N = space.m, space.N
+    words = set()
+    for coeffs in product(range(m), repeat=len(rows)):
+        acc = [0] * N
+        for a, g in zip(coeffs, rows):
+            for idx, x in enumerate(g):
+                acc[idx] += a * x
+        words.add(tuple(v % m for v in acc))
+    return words
+
+
+def pair_scan_closed(space: pb.BlockSpace, words) -> bool:
+    """Oracle for closure: the set holds 0 and every pair sum of its
+    members (scalar multiples then follow over Z_m)."""
+    m = space.m
+    inside = set(words)
+    return (0,) * space.N in inside and all(
+        tuple((x + y) % m for x, y in zip(a, b)) in inside
+        for a in inside
+        for b in inside
+    )
+
+
 def coords_to_index(coords, m: int) -> int:
     idx = 0
     for c in coords:

@@ -209,7 +209,6 @@ class TestFullCountStructure:
         assert report.ok
         assert report.ball_size == 5 == report.expected_ball_size
         assert report.coset_count == 5
-        assert report.closure_mode == "exhaustive"
 
     def test_empty_ideal_ball_is_zero_submodule(self):
         sp = small_chain()
@@ -221,7 +220,6 @@ class TestFullCountStructure:
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "2/1 2/2"))
         assert report.ok and report.ball_size == sp.size()
-        assert report.closure_mode == "whole-space"
         assert report.coset_count == 1
 
     def test_perp_is_complement_ball_in_dual(self):

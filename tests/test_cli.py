@@ -142,6 +142,19 @@ class TestMdsDualPackradDuality:
         code, out, _ = run(capsys, "mds", "check", small, str(bad))
         assert code == 1 and "mds\tfalse" in out
 
+    def test_cap_bounds_span_expansion(self, capsys, small, tmp_path):
+        # eight redundant rows spanning all 25 words of Z_5^2
+        rows = tmp_path / "rows.code"
+        rows.write_text("linear\n" + "1 0\n0 1\n" * 4)
+        code, out, err = run(capsys, "--cap", "10", "mds", "check", small,
+                             str(rows))
+        assert code == 2 and out == ""
+        assert err.startswith("pomsetblock: ") and err.count("\n") == 1
+        assert "cap 10" in err
+        code, out, _ = run(capsys, "--cap", "25", "mds", "check", small,
+                           str(rows))
+        assert code == 0 and "min-distance\t1" in out
+
     def test_dual_round_trips(self, capsys, small, tmp_path):
         axis = tmp_path / "axis.code"
         axis.write_text("linear\n1 0\n")
@@ -193,6 +206,17 @@ class TestSelftest:
         p.write_text("m 5\nblocks 1 1\norder 2<2\n")
         code, _, err = run(capsys, "selftest", str(p))
         assert code == 2 and err
+
+    @pytest.mark.parametrize("text, words", [
+        ("m 1\nblocks 1\n", "line 1: modulus"),
+        ("m 5\nblocks 1 1\nm 7\n", "line 3: repeated 'm'"),
+    ])
+    def test_bad_space_header_is_invalid_input(self, capsys, tmp_path, text, words):
+        p = tmp_path / "bad.space"
+        p.write_text(text)
+        code, out, err = run(capsys, "selftest", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"pomsetblock: {words}") and err.count("\n") == 1
 
 
 def test_byte_determinism(capsys, small):

@@ -4,13 +4,13 @@ import pytest
 
 from pomsetblock import (
     Code,
+    Multiset,
     ParseError,
     chain_space,
     format_code,
     format_space,
     parse_code,
     parse_ideal,
-    parse_multiset,
     parse_space,
     parse_vector,
     space_with_order,
@@ -56,6 +56,21 @@ class TestSpaceFiles:
         with pytest.raises(ParseError):
             parse_space("m 5\n")
 
+    def test_modulus_below_two_is_named(self):
+        with pytest.raises(ParseError) as exc:
+            parse_space("m 1\nblocks 1\n")
+        assert exc.value.line == 1 and "modulus" in str(exc.value)
+
+    def test_repeated_modulus_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_space("m 5\nblocks 1 1\nm 7\n")
+        assert exc.value.line == 3 and "'m'" in str(exc.value)
+
+    def test_repeated_blocks_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_space("m 5\nblocks 1 1\n# again\nblocks 2\n")
+        assert exc.value.line == 4 and "'blocks'" in str(exc.value)
+
     def test_construction_errors_become_parse_errors(self):
         with pytest.raises(ParseError):
             parse_space("m 5\nblocks 1 1\norder 1<3\n")
@@ -72,7 +87,7 @@ class TestVectorsAndIdeals:
 
     def test_multiset_and_ideal(self):
         sp = parse_space(SPACE_TEXT)
-        assert parse_multiset("2/1", 2, 2).counts == (2, 0)
+        assert Multiset.parse("2/1", 2, 2).counts == (2, 0)
         assert parse_ideal(sp, "2/1").cardinality == 2
         assert parse_ideal(sp, "-").cardinality == 0
 

@@ -10,7 +10,6 @@ from pomsetblock import (
     Multiset,
     NotAnIdeal,
     Pomset,
-    make_pomset,
 )
 
 from helpers import brute_force_ideal_vectors, five_pomset
@@ -40,8 +39,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Pomset(3, 2, [(2, 2)])
 
-    def test_make_pomset_matches_example_order(self):
-        p = make_pomset(5, 3, [(1, 3), (2, 4), (2, 5)])
+    def test_example_order(self):
+        p = Pomset(5, 3, [(1, 3), (2, 4), (2, 5)])
         assert p.relation == frozenset({(1, 3), (2, 4), (2, 5)})
         assert not p.is_chain()
         assert p.maximal_indices() == (3, 4, 5)
