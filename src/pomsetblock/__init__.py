@@ -36,7 +36,9 @@ from .block_space import (
     BlockVector,
     antichain_space,
     block_max_lee,
+    block_shell_size,
     chain_space,
+    lee_shell_size,
     lee_weight,
     pw_weight,
     space_with_order,
@@ -62,10 +64,8 @@ from .balls import (
 )
 from .weight_dist import (
     WeightDistribution,
-    block_shell_size,
     block_shell_size_enumerated,
     chain_shell_size,
-    lee_shell_size,
     pw_matches_pomset_distribution,
     weight_distribution,
     weight_distribution_enumerated,

@@ -13,9 +13,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from .block_space import DEFAULT_CAP, BlockSpace, BlockVector, lee_weight
+from .block_space import (
+    DEFAULT_CAP,
+    BlockSpace,
+    BlockVector,
+    block_shell_size,
+    lee_weight,
+)
 from .errors import NotFullCount, SpaceMismatch
-from .pomset import Ideal
+from .pomset import Ideal, Pomset
 
 def _check_center(u: BlockVector, v: BlockVector) -> None:
     if u.space != v.space:
@@ -91,21 +97,6 @@ def r_sphere(center: BlockVector, r: int, cap: int = DEFAULT_CAP) -> list[BlockV
 # ----- closed forms ----------------------------------------------------------
 
 
-def _max_lee_exact_count(m: int, k: int, c: int) -> int:
-    """Number of blocks in Z_m^k whose maximum Lee weight is exactly c >= 1.
-
-    Partial count c (below floor(m/2)): every entry has Lee weight <= c
-    with at least one hitting c, so (2c+1)^k - (2c-1)^k. Full count: the
-    top Lee weight is reached by 2 residues when m is odd and 1 when m is
-    even, giving m^k - (m - that)^k.
-    """
-    h = m // 2
-    if c == h:
-        top = 2 if m % 2 else 1
-        return m**k - (m - top) ** k
-    return (2 * c + 1) ** k - (2 * c - 1) ** k
-
-
 def i_sphere_size(space: BlockSpace, ideal: Ideal) -> int:
     """Closed-form |I-sphere|, independent of the center.
 
@@ -115,7 +106,7 @@ def i_sphere_size(space: BlockSpace, ideal: Ideal) -> int:
     maximal = ideal.maximal_root()
     total = 1
     for i in maximal:
-        total *= _max_lee_exact_count(space.m, space.pi[i - 1], ideal.count(i))
+        total *= block_shell_size(space.m, space.pi[i - 1], ideal.count(i))
     for l in ideal.root_set - maximal:
         total *= space.m ** space.pi[l - 1]
     return total
@@ -132,24 +123,62 @@ def i_ball_size(space: BlockSpace, ideal: Ideal) -> int:
     return total
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
+    """Shell counts A_0..A_{n*h}, h = floor(m/2), as the coefficients of the
+    weight enumerator.
+
+    Let J be the set ideal (down-set) of a vector's nonzero blocks. The
+    ideal its support generates fills every element of J - Max J to the
+    height and keeps the block's maximum Lee weight on each element of
+    Max J, so the blocks on J - Max J are free and those on Max J nonzero:
+
+        sum over set ideals J of  prod_{i in J - Max J} m^{k_i} x^h
+                                  * prod_{i in Max J} (B_i(x) - 1),
+
+    with B_i(x) = sum_c block_shell_size(m, k_i, c) x^c. The set ideals
+    are the ideals of the block order at height 1.
+    """
+    m, h = space.m, space.max_lee
+    nonzero = {k: [0] + [block_shell_size(m, k, c) for c in range(1, h + 1)]
+               for k in set(space.pi)}
+    enumerator = [0] * (space.n * h + 1)
+    for ideal in Pomset(space.n, 1, space.pomset.relation).ideals():
+        root, maximal = ideal.root_set, ideal.maximal_root()
+        term = [m ** sum(space.pi[i - 1] for i in root - maximal)]
+        for i in maximal:
+            term = _poly_mul(term, nonzero[space.pi[i - 1]])
+        shift = h * (len(root) - len(maximal))
+        for c, a in enumerate(term):
+            enumerator[shift + c] += a
+    return tuple(enumerator)
+
+
+def _shells_upto(space: BlockSpace, r: int, noun: str) -> tuple[int, ...]:
+    """The weight enumerator's shells 0..r, once r is checked to be one of
+    its degrees; ``noun`` names r in the error."""
+    top = space.n * space.max_lee
+    if not 0 <= r <= top:
+        raise ValueError(f"{noun} {r} outside 0..{top}")
+    return weight_enumerator(space)[: r + 1]
+
+
 def r_sphere_size(space: BlockSpace, r: int) -> int:
-    """Closed-form |r-sphere|: ideals of cardinality r grouped by how many
-    maximal elements they have."""
-    if r == 0:
-        return 1
-    if not 1 <= r <= space.n * space.max_lee:
-        raise ValueError(f"radius {r} outside 0..{space.n * space.max_lee}")
-    total = 0
-    for j in range(1, min(r, space.n) + 1):
-        for ideal in space.pomset.ideals_by_maximal_count(r, j):
-            total += i_sphere_size(space, ideal)
-    return total
+    """Closed-form |r-sphere|: coefficient r of the weight enumerator."""
+    return _shells_upto(space, r, "radius")[r]
 
 
 def r_ball_size(space: BlockSpace, r: int) -> int:
-    if not 0 <= r <= space.n * space.max_lee:
-        raise ValueError(f"radius {r} outside 0..{space.n * space.max_lee}")
-    return 1 + sum(r_sphere_size(space, i) for i in range(1, r + 1))
+    """Closed-form |r-ball|: the weight enumerator's shells up to r."""
+    return sum(_shells_upto(space, r, "radius"))
 
 
 # ----- enumeration-based counting --------------------------------------------
@@ -229,10 +258,6 @@ class FullCountBallReport:
         )
 
 
-def _dot(a, b, m: int) -> int:
-    return sum(x * y for x, y in zip(a, b)) % m
-
-
 def full_count_structure(space: BlockSpace, ideal: Ideal,
                          cap: int = DEFAULT_CAP,
                          seed: int = 0) -> FullCountBallReport:
@@ -244,7 +269,8 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
     * it is exactly the set of vectors vanishing off the root blocks;
     * its translates are the balls at every center, pairwise identical or
       disjoint, and they partition the space into m^(N - root length) classes;
-    * its dot-product perp equals the complement ideal's ball in the dual
+    * its dot-product perp (the vectors orthogonal to the unit vectors of
+      the root coordinates) equals the complement ideal's ball in the dual
       space.
     """
     if not ideal.is_full_count():
@@ -269,11 +295,17 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
         all(v[idx] == 0 for idx in outside) for v in members
     )
 
-    # distinct translates, keyed off the free coordinates (valid once the
-    # coordinate form holds); the partition count is exactly the key count
+    # distinct translates, keyed off the free coordinates, and the perp,
+    # tested against the unit vectors of the root coordinates: both are
+    # valid once the coordinate form holds, since those unit vectors then
+    # span the ball, so the perp verdict also requires the coordinate form.
+    # The partition count is exactly the key count.
     projections = set()
+    perp = set()
     for coords in space.coord_tuples(cap):
         projections.add(tuple(coords[idx] for idx in outside))
+        if not any(coords[idx] for idx in inside):
+            perp.add(coords)
     coset_count = len(projections)
     expected_cosets = m ** (N - root_len)
 
@@ -297,11 +329,6 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
         for b in range(a + 1, len(centers))
     )
 
-    # perp by brute-force dot-product scan, against the dual-space ball
-    perp = set()
-    for coords in space.coord_tuples(cap):
-        if all(_dot(coords, y, m) == 0 for y in members):
-            perp.add(coords)
     dual_space = space.dual()
     dual_ball = {
         v.coords for v in i_ball(dual_space.zero(), ideal.complement(), cap)
@@ -315,7 +342,7 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
         expected_coset_count=expected_cosets,
         translates_ok=translates_ok,
         identical_or_disjoint_ok=ident_ok,
-        perp_equals_dual_ball=perp == dual_ball,
+        perp_equals_dual_ball=coordinate_form and perp == dual_ball,
     )
 
 

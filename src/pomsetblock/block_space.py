@@ -1,4 +1,5 @@
-"""Z_m^N split into labelled blocks, with Lee weight and the block metrics.
+"""Z_m^N split into labelled blocks, with Lee weight, the residue and block
+shell counts, and the block metrics.
 
 A block space is Z_m^{k_1} + ... + Z_m^{k_n} together with a pomset of
 height floor(m/2) on the block positions. The block support of a vector
@@ -34,6 +35,33 @@ def lee_weight(x: int, m: int) -> int:
 def block_max_lee(block, m: int) -> int:
     """Largest Lee weight among the entries; 0 iff the block is zero."""
     return max(lee_weight(x, m) for x in block)
+
+
+def lee_shell_size(m: int, r: int) -> int:
+    """Number of residues mod m with Lee weight exactly r."""
+    if not 0 <= r <= m // 2:
+        raise ValueError(f"Lee weight {r} outside 0..{m // 2}")
+    if r == 0:
+        return 1
+    if m % 2 == 0 and r == m // 2:
+        return 1
+    return 2
+
+
+def block_shell_size(m: int, k: int, r: int) -> int:
+    """Number of blocks in Z_m^k with maximum Lee weight exactly r.
+
+    r = 0 counts only the zero block. For r >= 1 the count is
+    (2r - 1 + |shell_r|)^k - (2r - 1)^k, which covers the top shell
+    r = floor(m/2) for both parities of m.
+    """
+    if k < 1:
+        raise ValueError("block length must be positive")
+    if not 0 <= r <= m // 2:
+        raise ValueError(f"weight {r} outside 0..{m // 2}")
+    if r == 0:
+        return 1
+    return (2 * r - 1 + lee_shell_size(m, r)) ** k - (2 * r - 1) ** k
 
 
 class BlockSpace:

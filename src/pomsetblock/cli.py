@@ -19,10 +19,9 @@ from .balls import (
     nonlinearity_witness,
     r_ball,
     r_ball_size,
-    r_sphere_size,
     support_census,
 )
-from .block_space import DEFAULT_CAP
+from .block_space import DEFAULT_CAP, block_shell_size
 from .codes import (
     construct_perfect_full,
     construct_perfect_partial,
@@ -38,12 +37,10 @@ from .fileio import (
     parse_vector,
 )
 from .weight_dist import (
-    block_shell_size,
     block_shell_size_enumerated,
     chain_shell_size,
     weight_distribution,
     weight_distribution_enumerated,
-    weight_shell_size,
 )
 
 
@@ -207,18 +204,21 @@ def _cmd_selftest(args) -> int:
         ok = ok and f == o
     rows.append(("sphere-size-ideal", f"{len(ideals)} ideals", f_sum, o_sum, ok))
 
-    # per-radius sphere and ball sizes
+    # per-radius sphere and ball sizes, all read off one closed-form
+    # distribution
+    shells = weight_distribution(space).shells
     by_card: dict[int, int] = {}
     for key, mult in census.items():
         by_card[sum(key)] = by_card.get(sum(key), 0) + mult
-    running = 0
+    running = f_running = 0
     for r in range(top + 1):
-        f = r_sphere_size(space, r)
+        f = shells[r]
         o = by_card.get(r, 0)
         rows.append(("sphere-size", f"r={r}", f, o, f == o))
         running += o
-        fb = r_ball_size(space, r)
-        rows.append(("ball-size", f"r={r}", fb, running, fb == running))
+        f_running += f
+        rows.append(("ball-size", f"r={r}", f_running, running,
+                     f_running == running))
 
     # block shells per distinct block length
     for k in sorted(set(space.pi)):
@@ -234,7 +234,7 @@ def _cmd_selftest(args) -> int:
 
     # weight shells, closed form vs census
     for r in range(top + 1):
-        f = weight_shell_size(space, r)
+        f = shells[r]
         o = by_card.get(r, 0)
         rows.append(("weight-shells", f"r={r}", f, o, f == o))
 

@@ -1,9 +1,11 @@
-"""Weight distributions: scalar Lee shells, block shells, full-space shells.
+"""Weight distributions: full-space shells, by the closed form and by a scan.
 
-``lee_shell_size`` counts residues of a given Lee weight, ``block_shell_size``
-counts blocks of a given maximum Lee weight, and ``weight_shell_size`` counts
-vectors of a given block-metric weight. Each closed form has an
-enumeration-based twin.
+``weight_shell_size`` counts vectors of a given block-metric weight and
+``weight_distribution`` gives every shell at once, both read off the one
+``balls.weight_enumerator``; ``chain_shell_size`` is the chain-order
+closed form. The residue and block shells (``lee_shell_size``,
+``block_shell_size``) sit in :mod:`block_space` beside ``lee_weight``. Each
+closed form has an enumeration-based twin.
 """
 
 from __future__ import annotations
@@ -11,36 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .block_space import DEFAULT_CAP, BlockSpace, lee_weight, pw_weight
+from .block_space import (
+    DEFAULT_CAP,
+    BlockSpace,
+    block_shell_size,
+    lee_weight,
+    pw_weight,
+)
 from .errors import NonUnitBlocks, NotAChain
-from .balls import profile_census
-
-
-def lee_shell_size(m: int, r: int) -> int:
-    """Number of residues mod m with Lee weight exactly r."""
-    if not 0 <= r <= m // 2:
-        raise ValueError(f"Lee weight {r} outside 0..{m // 2}")
-    if r == 0:
-        return 1
-    if m % 2 == 0 and r == m // 2:
-        return 1
-    return 2
-
-
-def block_shell_size(m: int, k: int, r: int) -> int:
-    """Number of blocks in Z_m^k with maximum Lee weight exactly r.
-
-    r = 0 counts only the zero block. For r >= 1 the count is
-    (2r - 1 + |shell_r|)^k - (2r - 1)^k, which covers the top shell
-    r = floor(m/2) for both parities of m.
-    """
-    if k < 1:
-        raise ValueError("block length must be positive")
-    if not 0 <= r <= m // 2:
-        raise ValueError(f"weight {r} outside 0..{m // 2}")
-    if r == 0:
-        return 1
-    return (2 * r - 1 + lee_shell_size(m, r)) ** k - (2 * r - 1) ** k
+from .balls import _shells_upto, profile_census, weight_enumerator
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
@@ -53,27 +34,9 @@ def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
 
 
 def weight_shell_size(space: BlockSpace, r: int) -> int:
-    """Closed-form count of vectors of block-metric weight exactly r.
-
-    Sums, over the ideals of cardinality r, the block shells of the
-    maximal root elements times the full freedom of the remaining root
-    blocks.
-    """
-    if r == 0:
-        return 1
-    if not 1 <= r <= space.n * space.max_lee:
-        raise ValueError(f"weight {r} outside 0..{space.n * space.max_lee}")
-    m = space.m
-    total = 0
-    for ideal in space.pomset.ideals_of_cardinality(r):
-        maximal = ideal.maximal_root()
-        term = 1
-        for i in maximal:
-            term *= block_shell_size(m, space.pi[i - 1], ideal.count(i))
-        for l in ideal.root_set - maximal:
-            term *= m ** space.pi[l - 1]
-        total += term
-    return total
+    """Closed-form count of vectors of block-metric weight exactly r:
+    coefficient r of the weight enumerator."""
+    return _shells_upto(space, r, "weight")[r]
 
 
 @dataclass(frozen=True)
@@ -94,11 +57,9 @@ class WeightDistribution:
 
 
 def weight_distribution(space: BlockSpace) -> WeightDistribution:
-    """All shell counts by the closed form."""
-    top = space.n * space.max_lee
-    return WeightDistribution(
-        space, tuple(weight_shell_size(space, r) for r in range(top + 1))
-    )
+    """All shell counts by the closed form: the weight enumerator's
+    coefficients, computed once."""
+    return WeightDistribution(space, weight_enumerator(space))
 
 
 def weight_distribution_enumerated(space: BlockSpace,

@@ -116,6 +116,48 @@ def pair_scan_closed(space: pb.BlockSpace, words) -> bool:
     )
 
 
+def shells_by_cardinality(space: pb.BlockSpace) -> tuple[int, ...]:
+    """Oracle for the weight enumerator: for each weight r, sum over the
+    multiset ideals of cardinality r the block shells of the maximal root
+    elements times the full freedom of the remaining root blocks."""
+    m = space.m
+    shells = [1]
+    for r in range(1, space.n * space.max_lee + 1):
+        total = 0
+        for ideal in space.pomset.ideals_of_cardinality(r):
+            maximal = ideal.maximal_root()
+            term = 1
+            for i in maximal:
+                term *= pb.block_shell_size(m, space.pi[i - 1], ideal.count(i))
+            for l in ideal.root_set - maximal:
+                term *= m ** space.pi[l - 1]
+            total += term
+        shells.append(total)
+    return tuple(shells)
+
+
+def sphere_by_maximal_count(space: pb.BlockSpace, r: int) -> int:
+    """Oracle for ``r_sphere_size``: the ideals of cardinality r grouped by
+    how many maximal elements they have, each adding its sphere size."""
+    if r == 0:
+        return 1
+    return sum(
+        pb.i_sphere_size(space, ideal)
+        for j in range(1, min(r, space.n) + 1)
+        for ideal in space.pomset.ideals_by_maximal_count(r, j)
+    )
+
+
+def perp_by_dot_scan(space: pb.BlockSpace, words) -> set[tuple[int, ...]]:
+    """Oracle for the perp in ``full_count_structure``: every vector whose
+    dot product with each of ``words`` vanishes mod m."""
+    m = space.m
+    return {
+        coords for coords in space.coord_tuples()
+        if all(sum(x * y for x, y in zip(coords, w)) % m == 0 for w in words)
+    }
+
+
 def coords_to_index(coords, m: int) -> int:
     idx = 0
     for c in coords:

@@ -3,6 +3,7 @@
 import pytest
 
 from pomsetblock import (
+    DEFAULT_CAP,
     NotFullCount,
     antichain_space,
     chain_space,
@@ -22,8 +23,9 @@ from pomsetblock import (
     r_sphere_size,
     support_census,
 )
+from pomsetblock import balls
 
-from helpers import random_vector
+from helpers import GRID, grid_space, perp_by_dot_scan, random_vector
 
 import random
 
@@ -231,6 +233,45 @@ class TestFullCountStructure:
         sp = small_chain()
         with pytest.raises(NotFullCount):
             full_count_structure(sp, parse_ideal(sp, "1/1"))
+
+
+def test_perp_verdict_needs_the_coordinate_form(monkeypatch):
+    # a hand-made ball with one stray vector off the root block: vanishing
+    # on the root coordinates no longer describes its dot-product perp
+    sp = small_chain()
+    ideal = parse_ideal(sp, "2/1")
+    stray = sp.vector((0, 1))
+    real_i_ball = balls.i_ball
+
+    def forged_i_ball(center, ideal_, cap=DEFAULT_CAP):
+        members = real_i_ball(center, ideal_, cap)
+        return members + [stray] if center == sp.zero() else members
+
+    monkeypatch.setattr(balls, "i_ball", forged_i_ball)
+    members = [v.coords for v in forged_i_ball(sp.zero(), ideal)]
+    dual_ball = {v.coords
+                 for v in real_i_ball(sp.dual().zero(), ideal.complement())}
+    assert perp_by_dot_scan(sp, members) != dual_ball
+    report = full_count_structure(sp, ideal)
+    assert not report.coordinate_form
+    assert not report.perp_equals_dual_ball
+
+
+# grid spaces small enough for the |space| x |ball| dot-product scan
+SMALL_GRID = [cfg for cfg in GRID if cfg[0] ** sum(cfg[1]) <= 625]
+
+
+@pytest.mark.parametrize("config", SMALL_GRID, ids=str)
+def test_perp_verdict_matches_dot_product_scan(config):
+    space = grid_space(*config)
+    dual_zero = space.dual().zero()
+    for ideal in space.pomset.ideals():
+        if not ideal.is_full_count():
+            continue
+        members = [v.coords for v in i_ball(space.zero(), ideal)]
+        dual_ball = {v.coords for v in i_ball(dual_zero, ideal.complement())}
+        want = perp_by_dot_scan(space, members) == dual_ball
+        assert full_count_structure(space, ideal).perp_equals_dual_ball == want
 
 
 class TestPartialBallTranslates:

@@ -1,6 +1,8 @@
 """Shell counts: scalar, per-block, full-space, and the chain closed form."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomsetblock import (
     NonUnitBlocks,
@@ -14,12 +16,15 @@ from pomsetblock import (
     i_sphere_size,
     lee_shell_size,
     pw_matches_pomset_distribution,
+    r_ball_size,
     r_sphere_size,
     space_with_order,
     weight_distribution,
     weight_distribution_enumerated,
     weight_shell_size,
 )
+
+from helpers import shells_by_cardinality, sphere_by_maximal_count
 
 
 class TestLeeShells:
@@ -137,3 +142,66 @@ class TestUnitBlockComparison:
     def test_rejects_wide_blocks(self):
         with pytest.raises(NonUnitBlocks):
             pw_matches_pomset_distribution(chain_space(5, (1, 2)))
+
+
+@st.composite
+def random_spaces(draw):
+    """A random order on up to 5 blocks, relabelled by a random permutation,
+    with random block lengths and m, of at most 5*10^4 vectors."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    perm = draw(st.permutations(range(1, n + 1)))
+    max_len = 0
+    while m ** (max_len + 1) <= 5 * 10**4:
+        max_len += 1
+    spare = max_len - n
+    pi = []
+    for _ in range(n):
+        extra = draw(st.integers(0, min(2, spare)))
+        spare -= extra
+        pi.append(1 + extra)
+    relabelled = [(perm[i - 1], perm[j - 1]) for i, j in chosen]
+    return space_with_order(m, pi, relabelled)
+
+
+class TestWeightEnumerator:
+    @given(random_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_multiset_ideal_sums_and_the_scan(self, space):
+        shells = weight_distribution(space).shells
+        assert shells == shells_by_cardinality(space)
+        assert shells == weight_distribution_enumerated(space).shells
+        for r in range(len(shells)):
+            assert r_sphere_size(space, r) == sphere_by_maximal_count(space, r)
+            assert r_sphere_size(space, r) == weight_shell_size(space, r) == shells[r]
+            assert r_ball_size(space, r) == sum(shells[: r + 1])
+
+    @given(st.integers(2, 11), st.lists(st.integers(1, 4), min_size=1, max_size=10),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_closed_form_is_the_general_form(self, m, pi, data):
+        order = data.draw(st.permutations(range(1, len(pi) + 1)))
+        space = space_with_order(m, pi, list(zip(order, order[1:])))
+        shells = weight_distribution(space).shells
+        assert [chain_shell_size(space, r) for r in range(len(shells))] == list(shells)
+
+    def test_wide_antichain_is_a_power_of_the_block_polynomial(self):
+        # Z_9^10, past a whole-space scan: each unit block contributes the
+        # factor 1 + 2x + 2x^2 + 2x^3 + 2x^4
+        space = antichain_space(9, (1,) * 10)
+        want = [1]
+        for _ in range(10):
+            grown = [0] * (len(want) + 4)
+            for i, a in enumerate(want):
+                grown[i] += a
+                for c in range(1, 5):
+                    grown[i + c] += 2 * a
+            want = grown
+        shells = weight_distribution(space).shells
+        assert sum(shells) == 9**10
+        assert list(shells) == want
+        for r in (0, 1, 20, 40):
+            assert weight_shell_size(space, r) == r_sphere_size(space, r) == want[r]
+        assert r_ball_size(space, 40) == 9**10
