@@ -7,12 +7,12 @@ generates. Blocks sitting below a nonzero block are "paid for" at full
 height whether or not they are zero.
 """
 
-from pomsetblock import space_with_order
+from pomsetblock import parse_vector, space_with_order
 
 space = space_with_order(7, (2, 3, 4, 4, 3, 2), [(1, 2), (2, 4), (1, 4), (5, 6)])
 print("space: Z_7^18, blocks", space.pi, "max Lee weight", space.max_lee)
 
-v = space.parse_vector("0 0 0 0 0 0 0 0 0 0 1 0 1 0 0 0 2 0")
+v = parse_vector(space, "0 0 0 0 0 0 0 0 0 0 1 0 1 0 0 0 2 0")
 print("\nvector", v.literal())
 print("blocks:", v.blocks())
 print("support:", v.support().literal())
@@ -20,7 +20,7 @@ print("weight:", v.weight(), "(= 3+3+1+3+2: blocks 1,2 fill under 4; 5 fills und
 print("poset weight (block positions only):", v.poset_weight())
 
 # anything in the lower blocks is already charged at full height
-w = space.parse_vector("3 1 2 5 6 0 0 0 0 0 1 0 1 4 2 0 2 0")
+w = parse_vector(space, "3 1 2 5 6 0 0 0 0 0 1 0 1 4 2 0 2 0")
 print("\nsame upper blocks, noisy lower blocks ->", w.weight())
 
 u = space.zero()

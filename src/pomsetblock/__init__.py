@@ -49,16 +49,13 @@ from .balls import (
     i_ball,
     i_ball_size,
     i_ball_size_enumerated,
-    i_sphere,
     i_sphere_size,
-    i_sphere_size_enumerated,
     in_i_ball,
     in_r_ball,
     nonlinearity_witness,
     profile_census,
     r_ball,
     r_ball_size,
-    r_sphere,
     r_sphere_size,
     support_census,
 )
@@ -66,7 +63,6 @@ from .weight_dist import (
     WeightDistribution,
     block_shell_size_enumerated,
     chain_shell_size,
-    pw_matches_pomset_distribution,
     weight_distribution,
     weight_distribution_enumerated,
     weight_shell_size,
@@ -95,7 +91,6 @@ from .chain import (
     mds_metric_comparison,
     packing_radius,
     packing_radius_chain,
-    poset_singleton_report,
     repetition_codes,
     singleton_report,
     unit_repetition_code,

@@ -117,22 +117,15 @@ class BlockSpace:
     def vector(self, coords) -> BlockVector:
         return BlockVector(self, tuple(coords))
 
-    def from_blocks(self, blocks) -> BlockVector:
-        coords: list[int] = []
-        for b in blocks:
-            coords.extend(b)
-        return BlockVector(self, tuple(coords))
-
     def zero(self) -> BlockVector:
         return BlockVector(self, (0,) * self.N)
 
-    def parse_vector(self, text: str) -> BlockVector:
-        toks = text.split()
-        if len(toks) != self.N:
-            raise DimensionMismatch(
-                f"expected {self.N} coordinates, got {len(toks)}"
-            )
-        return BlockVector(self, tuple(int(t) for t in toks))
+    def check_weight(self, r: int, noun: str) -> None:
+        """Reject ``r`` unless it is a weight some vector has, 0..n*floor(m/2);
+        ``noun`` names r in the error."""
+        top = self.n * self.max_lee
+        if not 0 <= r <= top:
+            raise ValueError(f"{noun} {r} outside 0..{top}")
 
     def check_enumerable(self, cap: int = DEFAULT_CAP) -> None:
         if self.size() > cap:

@@ -88,7 +88,7 @@ def packing_radius_chain(code: Code) -> int:
 
 @dataclass(frozen=True)
 class SingletonReport:
-    """The chain Singleton-style bound for the block metric.
+    """The chain Singleton-type bound for the pomset or the poset block metric.
 
     ``r`` counts the chain prefix blocks pinned by the minimum distance;
     the bound says their total length ``prefix_len`` is at most
@@ -110,35 +110,27 @@ class SingletonReport:
         return self.prefix_len == self.rhs
 
 
-def singleton_report(code: Code) -> SingletonReport:
+def singleton_report(code: Code, metric: str = "pomset") -> SingletonReport:
+    """The bound under ``metric``: "pomset", where a distance d pins
+    (d - 1) // floor(m/2) prefix blocks, or "poset" (the poset block metric
+    of Alves et al.), where it pins d - 1."""
     space = code.space
     order = chain_elements(space.pomset)
+    per_block = {"pomset": space.max_lee, "poset": 1}.get(metric)
+    if per_block is None:
+        raise ValueError(f"unknown metric {metric!r}")
     q = _ceil_log(space.m, len(code))
     if len(code) == 1:
         d, r = None, space.n
     else:
-        d = code.min_distance("pomset")
-        r = (d - 1) // space.max_lee
+        d = code.min_distance(metric)
+        r = (d - 1) // per_block
     prefix_len = sum(space.pi[i - 1] for i in order[:r])
     return SingletonReport(d=d, r=r, prefix_len=prefix_len, rhs=space.N - q)
 
 
 def is_mds(code: Code) -> bool:
     return singleton_report(code).is_mds
-
-
-def poset_singleton_report(code: Code) -> SingletonReport:
-    """The analogous bound for the poset block metric on a chain."""
-    space = code.space
-    order = chain_elements(space.pomset)
-    q = _ceil_log(space.m, len(code))
-    if len(code) == 1:
-        d, r = None, space.n
-    else:
-        d = code.min_distance("poset")
-        r = d - 1
-    prefix_len = sum(space.pi[i - 1] for i in order[:r])
-    return SingletonReport(d=d, r=r, prefix_len=prefix_len, rhs=space.N - q)
 
 
 @dataclass(frozen=True)
@@ -156,25 +148,30 @@ class MetricComparisonReport:
 
 
 def mds_metric_comparison(code: Code) -> MetricComparisonReport:
-    h = code.space.max_lee
-    if len(code) == 1:
-        floor_ok = True
-    else:
-        d_pm = code.min_distance("pomset")
-        d_p = code.min_distance("poset")
-        floor_ok = (d_pm - 1) // h <= d_p - 1
+    # the two sides of the floor inequality are the reports' prefix counts
+    pomset = singleton_report(code)
+    poset = singleton_report(code, "poset")
     return MetricComparisonReport(
-        pomset_mds=singleton_report(code).is_mds,
-        poset_mds=poset_singleton_report(code).is_mds,
-        floor_inequality=floor_ok,
+        pomset_mds=pomset.is_mds,
+        poset_mds=poset.is_mds,
+        floor_inequality=pomset.r <= poset.r,
     )
 
 
-def _uniform_block_length(space: BlockSpace) -> int:
+def _matched_ideal(code: Code) -> Ideal:
+    """The full-count chain ideal matched to a chain code with blocks of
+    one length k and size m^q, k | q: the bottom n - q/k blocks filled."""
+    space = code.space
+    chain_elements(space.pomset)
     k = space.pi[0]
     if any(ki != k for ki in space.pi):
         raise NonUniformBlocks("all blocks must share one length")
-    return k
+    q = _ceil_log(space.m, len(code))
+    if space.m**q != len(code):
+        raise BadCardinality(f"|C| = {len(code)} is not a power of {space.m}")
+    if q % k:
+        raise BadCardinality(f"exponent {q} is not a multiple of the block length {k}")
+    return chain_prefix_ideal(space.pomset, space.max_lee * (space.n - q // k))
 
 
 @dataclass(frozen=True)
@@ -201,15 +198,7 @@ class PerfectMdsBridge:
 def mds_iperfect_bridge(code: Code, cap: int = DEFAULT_CAP) -> PerfectMdsBridge:
     """Evaluate the bridge for a uniform-block chain code whose size is an
     exact power of m with exponent divisible by the block length."""
-    space = code.space
-    chain_elements(space.pomset)
-    k = _uniform_block_length(space)
-    q = _ceil_log(space.m, len(code))
-    if space.m**q != len(code):
-        raise BadCardinality(f"|C| = {len(code)} is not a power of {space.m}")
-    if q % k:
-        raise BadCardinality(f"exponent {q} is not a multiple of the block length {k}")
-    target = chain_prefix_ideal(space.pomset, space.max_lee * (space.n - q // k))
+    target = _matched_ideal(code)
     return PerfectMdsBridge(
         ideal=target,
         mds=singleton_report(code).is_mds,
@@ -240,20 +229,10 @@ class DualityReport:
 
 
 def duality_equivalence(code: Code, cap: int = DEFAULT_CAP) -> DualityReport:
-    space = code.space
-    chain_elements(space.pomset)
-    k = _uniform_block_length(space)
+    ideal = _matched_ideal(code)
     if not code.linear:
         raise NotLinear("the duality equivalence is about linear codes")
-    q = _ceil_log(space.m, len(code))
-    if space.m**q != len(code):
-        raise BadCardinality(f"|C| = {len(code)} is not a power of {space.m}")
-    if q % k:
-        raise BadCardinality(f"exponent {q} is not a multiple of the block length {k}")
-    h = space.max_lee
-    ideal = chain_prefix_ideal(space.pomset, h * (space.n - q // k))
-    dual_space = space.dual()
-    dualc = dual_code(code, cap).in_space(dual_space)
+    dualc = dual_code(code, cap).in_space(code.space.dual())
     return DualityReport(
         mds_primal=singleton_report(code).is_mds,
         perfect_primal=verify_perfect(code, ideal=ideal, cap=cap).is_perfect,

@@ -22,13 +22,8 @@ from .balls import (
     support_census,
 )
 from .block_space import DEFAULT_CAP, block_shell_size
-from .codes import (
-    construct_perfect_full,
-    construct_perfect_partial,
-    dual_code,
-    verify_perfect,
-)
-from .errors import DivisibilityFails, ParseError, PomsetBlockError
+from .codes import construct_perfect_partial, dual_code, verify_perfect
+from .errors import DivisibilityFails, PomsetBlockError
 from .fileio import (
     format_code,
     load_code,
@@ -72,6 +67,8 @@ def _cmd_ballsize(args) -> int:
              "the closed forms are center independent")
         return 2
     if args.enumerate:
+        if args.radius is not None:
+            space.check_weight(args.radius, "radius")
         if args.center is not None:
             # enumeration at an explicit center, as a cross-check path
             center = parse_vector(space, args.center)
@@ -111,10 +108,7 @@ def _cmd_perfect(args) -> int:
     if args.action == "construct":
         ideal = parse_ideal(space, args.ideal)
         try:
-            if ideal.is_full_count():
-                code = construct_perfect_full(space, ideal, args.cap)
-            else:
-                code = construct_perfect_partial(space, ideal, args.cap)
+            code = construct_perfect_partial(space, ideal, args.cap)
         except DivisibilityFails as exc:
             print(f"divisibility-fails\tindex={exc.index}\tcount={exc.count}")
             return 1
@@ -377,16 +371,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.handler(args)
-    except ParseError as exc:
-        _err(str(exc))
-        return 2
-    except OSError as exc:
-        _err(str(exc))
-        return 2
-    except PomsetBlockError as exc:
-        _err(str(exc))
-        return 2
-    except ValueError as exc:
+    except (OSError, PomsetBlockError, ValueError) as exc:
         _err(str(exc))
         return 2
 

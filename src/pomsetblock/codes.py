@@ -158,10 +158,7 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
         member = lambda c, v: in_i_ball(c, v, ideal)
         kind, parameter = "ideal", ideal
     else:
-        if not 0 <= radius <= space.n * space.max_lee:
-            raise ValueError(
-                f"radius {radius} outside 0..{space.n * space.max_lee}"
-            )
+        space.check_weight(radius, "radius")
         member = lambda c, v: in_r_ball(c, v, radius)
         kind, parameter = "radius", radius
     overlap = None
@@ -192,59 +189,45 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
 def construct_perfect_full(space: BlockSpace, ideal: Ideal,
                            cap: int = DEFAULT_CAP) -> Code:
     """The zero-section transversal for a full-count ideal: all vectors
-    vanishing on the root blocks. One codeword per ball, hence perfect."""
+    vanishing on the root blocks. One codeword per ball, hence perfect;
+    it is what :func:`construct_perfect_partial` builds when no count is
+    partial."""
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
-    choices = {
-        i: ((0,) if i in ideal.root_set else None)
-        for i in range(1, space.n + 1)
-    }
-    return _blockwise_code(space, choices, cap)
+    return construct_perfect_partial(space, ideal, cap)
 
 
 def construct_perfect_partial(space: BlockSpace, ideal: Ideal,
                               cap: int = DEFAULT_CAP) -> Code:
-    """Perfect-code centers for an ideal with partial counts.
+    """Perfect-code centers for any ideal: every vector whose block i
+    entries come from the residues allowed on block i.
 
     Blocks with a full count are pinned to zero; a block with partial
     count t draws every coordinate from the multiples of 2t+1 (which
     requires (2t+1) | m); blocks off the root are free.
     """
     m = space.m
-    choices: dict[int, tuple[int, ...] | None] = {}
-    partial = set(ideal.partial_indices())
-    for i in range(1, space.n + 1):
-        if i in partial:
-            t = ideal.count(i)
-            step = 2 * t + 1
-            if m % step:
-                raise DivisibilityFails(i, t, m)
-            choices[i] = tuple(range(0, m, step))
-        elif i in ideal.root_set:
-            choices[i] = (0,)
-        else:
-            choices[i] = None
-    return _blockwise_code(space, choices, cap)
-
-
-def _blockwise_code(space: BlockSpace, choices, cap: int) -> Code:
-    """Code of all vectors whose block i entries come componentwise from
-    choices[i] (a tuple of allowed residues), or anywhere when None."""
     per_block = []
     size = 1
     for i in range(1, space.n + 1):
+        t = ideal.count(i)
+        if t == 0:
+            allowed = tuple(range(m))
+        elif t == space.max_lee:
+            allowed = (0,)
+        elif m % (2 * t + 1):
+            raise DivisibilityFails(i, t, m)
+        else:
+            allowed = tuple(range(0, m, 2 * t + 1))
         k = space.pi[i - 1]
-        allowed = tuple(range(space.m)) if choices[i] is None else choices[i]
         size *= len(allowed) ** k
         per_block.append(list(product(allowed, repeat=k)))
     if size > cap:
         raise SpaceTooLarge(
             f"construction would emit {size} codewords, above the cap {cap}"
         )
-    words = []
-    for blocks in product(*per_block):
-        words.append(tuple(x for b in blocks for x in b))
-    return Code(space, words)
+    return Code(space, [tuple(x for b in blocks for x in b)
+                        for blocks in product(*per_block)])
 
 
 def dual_code(code: Code, cap: int = DEFAULT_CAP) -> Code:

@@ -46,16 +46,6 @@ class Multiset:
         return cls(n, height, (height,) * n)
 
     @classmethod
-    def from_items(cls, n: int, height: int, items: dict[int, int]) -> Multiset:
-        """Build from a {index: count} mapping; omitted indices get 0."""
-        counts = [0] * n
-        for i, c in items.items():
-            if not 1 <= i <= n:
-                raise ValueError(f"index {i} outside 1..{n}")
-            counts[i - 1] = c
-        return cls(n, height, tuple(counts))
-
-    @classmethod
     def parse(cls, text: str, n: int, height: int) -> Multiset:
         """Parse a literal of ``count/index`` tokens, e.g. ``3/1 1/3``.
 
@@ -98,10 +88,6 @@ class Multiset:
     @property
     def root_set(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.counts, 1) if c > 0)
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.counts)
 
     def literal(self) -> str:
         """Inverse of :meth:`parse`; the empty multiset renders as ``-``."""

@@ -135,12 +135,6 @@ class Pomset:
                 f"pomset ({self.n}, h={self.height})"
             )
 
-    def full_mset(self) -> Multiset:
-        return Multiset.full(self.n, self.height)
-
-    def empty_mset(self) -> Multiset:
-        return Multiset.empty(self.n, self.height)
-
     def is_ideal(self, mset: Multiset) -> bool:
         """Down-closure law: positive count at i forces full count below i."""
         self._check_mset(mset)
@@ -149,9 +143,6 @@ class Pomset:
             if c > 0 and any(mset.count(j) != h for j in self._below[i]):
                 return False
         return True
-
-    def ideal(self, mset: Multiset) -> Ideal:
-        return Ideal(self, mset)
 
     def generated_counts(self, counts) -> tuple[int, ...]:
         """Closure of a raw count sequence (index 0 holds element 1)."""

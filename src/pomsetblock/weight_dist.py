@@ -16,21 +16,17 @@ from itertools import product
 from .block_space import (
     DEFAULT_CAP,
     BlockSpace,
+    block_max_lee,
     block_shell_size,
-    lee_weight,
-    pw_weight,
 )
-from .errors import NonUnitBlocks, NotAChain
+from .errors import NotAChain
 from .balls import _shells_upto, profile_census, weight_enumerator
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
     """Oracle for :func:`block_shell_size` by scanning Z_m^k."""
-    return sum(
-        1
-        for block in product(range(m), repeat=k)
-        if max(lee_weight(x, m) for x in block) == r
-    )
+    return sum(1 for block in product(range(m), repeat=k)
+               if block_max_lee(block, m) == r)
 
 
 def weight_shell_size(space: BlockSpace, r: int) -> int:
@@ -83,28 +79,13 @@ def chain_shell_size(space: BlockSpace, r: int) -> int:
     pomset = space.pomset
     if not pomset.is_chain():
         raise NotAChain("closed-form shells need a total order on the blocks")
-    h = space.max_lee
+    space.check_weight(r, "weight")
     if r == 0:
         return 1
-    if not 1 <= r <= space.n * h:
-        raise ValueError(f"weight {r} outside 0..{space.n * h}")
+    h = space.max_lee
     order = pomset.linear_extension()
     t, c = divmod(r - 1, h)
     c += 1
     free = sum(space.pi[i - 1] for i in order[:t])
     return space.m**free * block_shell_size(space.m, space.pi[order[t] - 1], c)
 
-
-def pw_matches_pomset_distribution(space: BlockSpace,
-                                   cap: int = DEFAULT_CAP) -> bool:
-    """Whether the weighted-coordinates and block-metric weight histograms
-    agree shell by shell (unit blocks only)."""
-    if any(k != 1 for k in space.pi):
-        raise NonUnitBlocks("comparison defined for unit blocks")
-    top = space.n * space.max_lee
-    from_pw = [0] * (top + 1)
-    from_block = [0] * (top + 1)
-    for v in space.vectors(cap):
-        from_pw[pw_weight(v)] += 1
-        from_block[v.weight()] += 1
-    return from_pw == from_block

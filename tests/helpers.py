@@ -78,16 +78,31 @@ def weight_array(m: int, pi: tuple[int, ...], order: str) -> tuple[int, ...]:
     """Block-metric weight of every vector, in odometer order."""
     space = grid_space(m, pi, order)
     pomset = space.pomset
-    tables = []
-    for k in space.pi:
-        tables.append([
-            max(pb.lee_weight(x, m) for x in block)
-            for block in product(range(m), repeat=k)
-        ])
+    tables = [[pb.block_max_lee(block, m) for block in product(range(m), repeat=k)]
+              for k in space.pi]
     return tuple(
         sum(pomset.generated_counts(profile))
         for profile in product(*tables)
     )
+
+
+def i_sphere(center: pb.BlockVector, ideal: pb.Ideal) -> list[pb.BlockVector]:
+    """Oracle for ``i_sphere_size``: the vectors whose difference support
+    generates exactly ``ideal``, by a whole-space scan."""
+    space = center.space
+    want = ideal.counts.counts
+    return [v for v in space.vectors()
+            if space.pomset.generated_counts((center - v).support().counts) == want]
+
+
+def r_sphere(center: pb.BlockVector, r: int) -> list[pb.BlockVector]:
+    """Oracle for ``r_sphere_size``: the vectors at distance exactly r."""
+    return [v for v in center.space.vectors() if (center - v).weight() == r]
+
+
+def i_sphere_size_enumerated(space: pb.BlockSpace, ideal: pb.Ideal) -> int:
+    """Oracle for ``i_sphere_size``, read off the support census."""
+    return pb.support_census(space).get(ideal.counts.counts, 0)
 
 
 def odometer_span(space: pb.BlockSpace, rows) -> set[tuple[int, ...]]:

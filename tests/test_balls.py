@@ -11,21 +11,26 @@ from pomsetblock import (
     i_ball,
     i_ball_size,
     i_ball_size_enumerated,
-    i_sphere,
     i_sphere_size,
-    i_sphere_size_enumerated,
     in_i_ball,
     nonlinearity_witness,
     parse_ideal,
     r_ball,
     r_ball_size,
-    r_sphere,
     r_sphere_size,
     support_census,
 )
 from pomsetblock import balls
 
-from helpers import GRID, grid_space, perp_by_dot_scan, random_vector
+from helpers import (
+    GRID,
+    grid_space,
+    i_sphere,
+    i_sphere_size_enumerated,
+    perp_by_dot_scan,
+    r_sphere,
+    random_vector,
+)
 
 import random
 

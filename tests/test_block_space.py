@@ -16,6 +16,7 @@ from pomsetblock import (
     block_max_lee,
     chain_space,
     lee_weight,
+    parse_vector,
     pw_weight,
     space_with_order,
 )
@@ -82,14 +83,14 @@ class TestConstruction:
 class TestSupportAndWeight:
     def test_wide_space_block_support(self):
         sp = wide_space()
-        v = sp.parse_vector("0 0 0 0 0 0 0 0 0 0 1 0 1 0 0 0 2 0")
+        v = parse_vector(sp, "0 0 0 0 0 0 0 0 0 0 1 0 1 0 0 0 2 0")
         assert v.support() == Multiset.parse("1/4 2/6", 6, 3)
         assert v.weight() == 12
         assert v.poset_weight() == 5
 
     def test_free_lower_blocks_do_not_change_the_weight(self):
         sp = wide_space()
-        v = sp.parse_vector("3 1 2 5 6 0 0 0 0 0 1 0 1 4 2 0 2 0")
+        v = parse_vector(sp, "3 1 2 5 6 0 0 0 0 0 1 0 1 4 2 0 2 0")
         assert v.weight() == 12
 
     def test_zero_vector(self):

@@ -22,7 +22,6 @@ from pomsetblock import (
     packing_radius,
     packing_radius_chain,
     parse_ideal,
-    poset_singleton_report,
     repetition_codes,
     singleton_report,
     unit_repetition_code,
@@ -133,8 +132,27 @@ class TestMetricComparison:
     def test_diagonal_is_mds_in_both(self):
         rep = mds_metric_comparison(diagonal())
         assert rep.pomset_mds and rep.poset_mds and rep.implication_holds
-        poset_rep = poset_singleton_report(diagonal())
-        assert (poset_rep.d, poset_rep.r) == (2, 1) and poset_rep.is_mds
+        poset_rep = singleton_report(diagonal(), "poset")
+        assert (poset_rep.d, poset_rep.r, poset_rep.prefix_len, poset_rep.rhs) \
+            == (2, 1, 1, 1)
+        assert poset_rep.is_mds
+
+    def test_poset_report_on_random_codes(self):
+        # d_poset - 1 prefix blocks pinned, against N - ceil(log_m |C|)
+        rng = random.Random(31)
+        for m, pi in [(4, (1, 1)), (5, (1, 2)), (6, (2, 1)), (5, (1, 1, 1))]:
+            sp = chain_space(m, pi)
+            for _ in range(30):
+                code = random_code(sp, rng)
+                d = code.min_distance("poset")
+                q = next(q for q in range(sp.N + 1) if m**q >= len(code))
+                rep = singleton_report(code, "poset")
+                assert (rep.d, rep.r, rep.prefix_len, rep.rhs) == (
+                    d, d - 1, sum(pi[:d - 1]), sp.N - q)
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError):
+            singleton_report(diagonal(), "hamming")
 
     def test_floor_inequality_on_random_codes(self):
         rng = random.Random(29)

@@ -61,6 +61,14 @@ class TestBallsize:
             code, out, _ = run(capsys, "ballsize", small, "--radius", "2", *extra)
             assert code == 0 and out.strip() == "5"
 
+    @pytest.mark.parametrize("radius", ["5", "99", "-1"])
+    def test_radius_out_of_range_on_every_path(self, capsys, small, radius):
+        for extra in ([], ["--enumerate"], ["--enumerate", "--center", "3 1"]):
+            code, out, err = run(capsys, "ballsize", small, "--radius", radius,
+                                 *extra)
+            assert (code, out) == (2, "")
+            assert err == f"pomsetblock: radius {radius} outside 0..4\n"
+
     def test_ideal_ball(self, capsys, small):
         code, out, _ = run(capsys, "ballsize", small, "--ideal", "2/1 1/2")
         assert code == 0 and out.strip() == "15"

@@ -20,7 +20,7 @@ from pomsetblock import (
     verify_perfect,
 )
 
-from helpers import random_code
+from helpers import GRID, grid_space, random_code
 
 
 def small_chain():
@@ -152,6 +152,21 @@ class TestPerfectPartial:
         code = construct_perfect_partial(sp, ideal)
         assert len(code) == 27
         assert verify_perfect(code, ideal=ideal).is_perfect
+
+    def test_full_count_ideals_give_the_zero_section(self):
+        # with no partial count the construction is construct_perfect_full's:
+        # every vector vanishing on the root blocks
+        for m, pi, order in GRID:
+            sp = grid_space(m, pi, order)
+            for ideal in sp.pomset.ideals():
+                if not ideal.is_full_count():
+                    continue
+                code = construct_perfect_partial(sp, ideal)
+                assert code == construct_perfect_full(sp, ideal)
+                pinned = [idx for i in ideal.root_set
+                          for idx in range(*sp.block_bounds(i))]
+                assert len(code) == m ** (sp.N - len(pinned))
+                assert not any(w.coords[idx] for w in code for idx in pinned)
 
     def test_divisibility_failure(self):
         sp = antichain_space(7, (1,))
