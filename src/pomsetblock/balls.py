@@ -13,13 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from .block_space import (
-    DEFAULT_CAP,
-    BlockSpace,
-    BlockVector,
-    block_max_lee,
-    block_shell_size,
-)
+from .block_space import BlockSpace, BlockVector, block_max_lee, block_shell_size
 from .errors import NotFullCount, SpaceMismatch
 from .pomset import Ideal, Pomset
 
@@ -43,7 +37,7 @@ def in_r_ball(u: BlockVector, v: BlockVector, r: int) -> bool:
     return (u - v).weight() <= r
 
 
-def i_ball(center: BlockVector, ideal: Ideal, cap: int = DEFAULT_CAP) -> list[BlockVector]:
+def i_ball(center: BlockVector, ideal: Ideal) -> list[BlockVector]:
     """Explicit I-ball membership list, in odometer order.
 
     Built block by block: every entry of a difference block must have Lee
@@ -53,7 +47,7 @@ def i_ball(center: BlockVector, ideal: Ideal, cap: int = DEFAULT_CAP) -> list[Bl
     whole-space predicate.
     """
     space = center.space
-    space.check_enumerable(cap)
+    space.check_enumerable()
     m = space.m
     per_block = []
     for i in range(1, space.n + 1):
@@ -71,9 +65,10 @@ def i_ball(center: BlockVector, ideal: Ideal, cap: int = DEFAULT_CAP) -> list[Bl
     ]
 
 
-def r_ball(center: BlockVector, r: int, cap: int = DEFAULT_CAP) -> list[BlockVector]:
+def r_ball(center: BlockVector, r: int) -> list[BlockVector]:
     space = center.space
-    return [v for v in space.vectors(cap) if (center - v).weight() <= r]
+    space.check_weight(r, "radius")
+    return [v for v in space.vectors() if (center - v).weight() <= r]
 
 
 # ----- closed forms ----------------------------------------------------------
@@ -164,36 +159,35 @@ def r_ball_size(space: BlockSpace, r: int) -> int:
 # ----- enumeration-based counting --------------------------------------------
 
 
-def profile_census(space: BlockSpace, cap: int = DEFAULT_CAP) -> Counter:
+def profile_census(space: BlockSpace) -> Counter:
     """Count vectors by block-support profile via one full-space sweep.
 
     Every vector of the space is visited exactly once (as a combination of
     per-block values); the per-block maximum Lee weights are tabulated by
     scanning each Z_m^{k_i} directly.
     """
-    space.check_enumerable(cap)
+    space.check_enumerable()
     m = space.m
     tables = [[block_max_lee(block, m) for block in product(range(m), repeat=k)]
               for k in space.pi]
     return Counter(product(*tables))
 
 
-def support_census(space: BlockSpace, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], int]:
+def support_census(space: BlockSpace) -> dict[tuple[int, ...], int]:
     """Count vectors by the ideal their support generates (center 0)."""
     pomset = space.pomset
     census: dict[tuple[int, ...], int] = {}
-    for profile, mult in profile_census(space, cap).items():
+    for profile, mult in profile_census(space).items():
         key = pomset.generated_counts(profile)
         census[key] = census.get(key, 0) + mult
     return census
 
 
-def i_ball_size_enumerated(space: BlockSpace, ideal: Ideal,
-                           cap: int = DEFAULT_CAP) -> int:
+def i_ball_size_enumerated(space: BlockSpace, ideal: Ideal) -> int:
     """Oracle for :func:`i_ball_size`; rescans the space each call."""
     want = ideal.counts.counts
     return sum(
-        mult for profile, mult in profile_census(space, cap).items()
+        mult for profile, mult in profile_census(space).items()
         if all(p <= w for p, w in zip(profile, want))
     )
 
@@ -228,8 +222,7 @@ class FullCountBallReport:
         )
 
 
-def full_count_structure(space: BlockSpace, ideal: Ideal,
-                         cap: int = DEFAULT_CAP) -> FullCountBallReport:
+def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport:
     """Verify, by enumeration, the submodule structure of a full-count ball:
 
     * the ball equals its own span, i.e. it is closed under addition (and
@@ -246,7 +239,7 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
         raise NotFullCount(f"{ideal!r} has a partial count")
     m, N = space.m, space.N
     zero = space.zero()
-    members = [v.coords for v in i_ball(zero, ideal, cap)]
+    members = [v.coords for v in i_ball(zero, ideal)]
     member_set = set(members)
     size = len(members)
     root_len = sum(space.pi[i - 1] for i in ideal.root_set)
@@ -271,7 +264,7 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
     # The partition count is exactly the key count.
     projections = set()
     perp = set()
-    for coords in space.coord_tuples(cap):
+    for coords in space.coord_tuples():
         projections.add(tuple(coords[idx] for idx in outside))
         if not any(coords[idx] for idx in inside):
             perp.add(coords)
@@ -284,7 +277,7 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
         space.vector(tuple(rng.randrange(m) for _ in range(N))) for _ in range(3)
     ]
     direct = [member_set] + [
-        {v.coords for v in i_ball(u, ideal, cap)} for u in centers[1:]
+        {v.coords for v in i_ball(u, ideal)} for u in centers[1:]
     ]
     translates_ok = all(
         direct[idx]
@@ -299,9 +292,7 @@ def full_count_structure(space: BlockSpace, ideal: Ideal,
     )
 
     dual_space = space.dual()
-    dual_ball = {
-        v.coords for v in i_ball(dual_space.zero(), ideal.complement(), cap)
-    }
+    dual_ball = {v.coords for v in i_ball(dual_space.zero(), ideal.complement())}
     return FullCountBallReport(
         ball_size=size,
         expected_ball_size=expected_size,

@@ -65,11 +65,15 @@ def block_shell_size(m: int, k: int, r: int) -> int:
 
 
 class BlockSpace:
-    """The space Z_m^N with blocks of lengths ``pi`` ordered by ``pomset``."""
+    """The space Z_m^N with blocks of lengths ``pi`` ordered by ``pomset``.
 
-    __slots__ = ("m", "pomset", "pi", "_offsets", "_dual")
+    ``cap`` bounds every scan of the space and every code built in it; a
+    resource guard, it takes no part in equality, hashing or the repr.
+    """
 
-    def __init__(self, m: int, pomset: Pomset, pi):
+    __slots__ = ("m", "pomset", "pi", "cap", "_offsets", "_dual")
+
+    def __init__(self, m: int, pomset: Pomset, pi, cap: int = DEFAULT_CAP):
         if m < 2:
             raise ValueError("modulus must be at least 2")
         pi = tuple(int(k) for k in pi)
@@ -86,6 +90,7 @@ class BlockSpace:
         self.m = m
         self.pomset = pomset
         self.pi = pi
+        self.cap = cap
         offsets = [0]
         for k in pi:
             offsets.append(offsets[-1] + k)
@@ -127,19 +132,19 @@ class BlockSpace:
         if not 0 <= r <= top:
             raise ValueError(f"{noun} {r} outside 0..{top}")
 
-    def check_enumerable(self, cap: int = DEFAULT_CAP) -> None:
-        if self.size() > cap:
+    def check_enumerable(self) -> None:
+        if self.size() > self.cap:
             raise SpaceTooLarge(
-                f"space has {self.size()} vectors, above the cap {cap}"
+                f"space has {self.size()} vectors, above the cap {self.cap}"
             )
 
-    def coord_tuples(self, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
+    def coord_tuples(self) -> Iterator[tuple[int, ...]]:
         """All coordinate tuples in odometer order (last coordinate fastest)."""
-        self.check_enumerable(cap)
+        self.check_enumerable()
         return product(range(self.m), repeat=self.N)
 
-    def vectors(self, cap: int = DEFAULT_CAP) -> Iterator[BlockVector]:
-        for coords in self.coord_tuples(cap):
+    def vectors(self) -> Iterator[BlockVector]:
+        for coords in self.coord_tuples():
             yield BlockVector(self, coords)
 
     def span(self, rows, limit: int) -> set[tuple[int, ...]]:
@@ -179,7 +184,7 @@ class BlockSpace:
     def dual(self) -> BlockSpace:
         """Same modulus and labels over the reversed order."""
         if self._dual is None:
-            d = BlockSpace(self.m, self.pomset.dual(), self.pi)
+            d = BlockSpace(self.m, self.pomset.dual(), self.pi, self.cap)
             d._dual = self
             self._dual = d
         return self._dual

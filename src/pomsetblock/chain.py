@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .block_space import DEFAULT_CAP, BlockSpace, chain_space
+from .block_space import BlockSpace, chain_space
 from .codes import Code, dual_code, verify_perfect
 from .errors import (
     BadCardinality,
@@ -52,7 +52,7 @@ def _ceil_log(m: int, size: int) -> int:
     return q
 
 
-def packing_radius(code: Code, cap: int = DEFAULT_CAP) -> int:
+def packing_radius(code: Code) -> int:
     """Greatest r whose r-balls at distinct codewords are pairwise disjoint.
 
     Brute force over the whole space: some vector lies in two r-balls
@@ -65,7 +65,7 @@ def packing_radius(code: Code, cap: int = DEFAULT_CAP) -> int:
     if len(code) < 2:
         return top
     best = top + 1
-    for v in space.vectors(cap):
+    for v in space.vectors():
         d1, d2 = None, None
         for c in code:
             d = (v - c).weight()
@@ -195,14 +195,14 @@ class PerfectMdsBridge:
         return (not self.i_perfect) or self.mds
 
 
-def mds_iperfect_bridge(code: Code, cap: int = DEFAULT_CAP) -> PerfectMdsBridge:
+def mds_iperfect_bridge(code: Code) -> PerfectMdsBridge:
     """Evaluate the bridge for a uniform-block chain code whose size is an
     exact power of m with exponent divisible by the block length."""
     target = _matched_ideal(code)
     return PerfectMdsBridge(
         ideal=target,
         mds=singleton_report(code).is_mds,
-        i_perfect=verify_perfect(code, ideal=target, cap=cap).is_perfect,
+        i_perfect=verify_perfect(code, ideal=target).is_perfect,
     )
 
 
@@ -228,17 +228,15 @@ class DualityReport:
         return len(set(self.statements)) == 1
 
 
-def duality_equivalence(code: Code, cap: int = DEFAULT_CAP) -> DualityReport:
+def duality_equivalence(code: Code) -> DualityReport:
     ideal = _matched_ideal(code)
     if not code.linear:
         raise NotLinear("the duality equivalence is about linear codes")
-    dualc = dual_code(code, cap).in_space(code.space.dual())
+    dualc = dual_code(code).in_space(code.space.dual())
     return DualityReport(
         mds_primal=singleton_report(code).is_mds,
-        perfect_primal=verify_perfect(code, ideal=ideal, cap=cap).is_perfect,
-        perfect_dual=verify_perfect(
-            dualc, ideal=ideal.complement(), cap=cap
-        ).is_perfect,
+        perfect_primal=verify_perfect(code, ideal=ideal).is_perfect,
+        perfect_dual=verify_perfect(dualc, ideal=ideal.complement()).is_perfect,
         mds_dual=singleton_report(dualc).is_mds,
     )
 

@@ -43,22 +43,19 @@ def _err(msg: str) -> None:
     print(f"pomsetblock: {msg}", file=sys.stderr)
 
 
-def _cmd_weight(args) -> int:
-    space = load_space(args.space)
+def _cmd_weight(space, args) -> int:
     v = parse_vector(space, args.vector)
     print(v.weight())
     return 0
 
 
-def _cmd_ideals(args) -> int:
-    space = load_space(args.space)
+def _cmd_ideals(space, args) -> int:
     for ideal in space.pomset.ideals_of_cardinality(args.card):
         print(ideal.counts.literal())
     return 0
 
 
-def _cmd_ballsize(args) -> int:
-    space = load_space(args.space)
+def _cmd_ballsize(space, args) -> int:
     if (args.ideal is None) == (args.radius is None):
         _err("give exactly one of --ideal or --radius")
         return 2
@@ -73,14 +70,13 @@ def _cmd_ballsize(args) -> int:
             # enumeration at an explicit center, as a cross-check path
             center = parse_vector(space, args.center)
             if args.ideal is not None:
-                size = len(i_ball(center, parse_ideal(space, args.ideal), args.cap))
+                size = len(i_ball(center, parse_ideal(space, args.ideal)))
             else:
-                size = len(r_ball(center, args.radius, args.cap))
+                size = len(r_ball(center, args.radius))
         elif args.ideal is not None:
-            size = i_ball_size_enumerated(
-                space, parse_ideal(space, args.ideal), args.cap)
+            size = i_ball_size_enumerated(space, parse_ideal(space, args.ideal))
         else:
-            shells = weight_distribution_enumerated(space, args.cap).shells
+            shells = weight_distribution_enumerated(space).shells
             size = sum(a for r, a in enumerate(shells) if r <= args.radius)
     else:
         if args.ideal is not None:
@@ -91,10 +87,9 @@ def _cmd_ballsize(args) -> int:
     return 0
 
 
-def _cmd_wdist(args) -> int:
-    space = load_space(args.space)
+def _cmd_wdist(space, args) -> int:
     if args.oracle:
-        shells = weight_distribution_enumerated(space, args.cap).shells
+        shells = weight_distribution_enumerated(space).shells
     else:
         shells = weight_distribution(space).shells
     for r, a in enumerate(shells):
@@ -103,27 +98,25 @@ def _cmd_wdist(args) -> int:
     return 0
 
 
-def _cmd_perfect(args) -> int:
-    space = load_space(args.space)
+def _cmd_perfect(space, args) -> int:
     if args.action == "construct":
         ideal = parse_ideal(space, args.ideal)
         try:
-            code = construct_perfect_partial(space, ideal, args.cap)
+            code = construct_perfect_partial(space, ideal)
         except DivisibilityFails as exc:
             print(f"divisibility-fails\tindex={exc.index}\tcount={exc.count}")
             return 1
         sys.stdout.write(format_code(code))
         return 0
     # verify
-    code = load_code(space, args.code, args.cap)
+    code = load_code(space, args.code)
     if (args.ideal is None) == (args.radius is None):
         _err("give exactly one of --ideal or --radius")
         return 2
     if args.ideal is not None:
-        cert = verify_perfect(code, ideal=parse_ideal(space, args.ideal),
-                              cap=args.cap)
+        cert = verify_perfect(code, ideal=parse_ideal(space, args.ideal))
     else:
-        cert = verify_perfect(code, radius=args.radius, cap=args.cap)
+        cert = verify_perfect(code, radius=args.radius)
     print(f"disjoint\t{str(cert.disjoint).lower()}")
     print(f"covering\t{str(cert.covering).lower()}")
     if cert.overlap is not None:
@@ -134,9 +127,8 @@ def _cmd_perfect(args) -> int:
     return 0 if cert.is_perfect else 1
 
 
-def _cmd_mds(args) -> int:
-    space = load_space(args.space)
-    code = load_code(space, args.code, args.cap)
+def _cmd_mds(space, args) -> int:
+    code = load_code(space, args.code)
     report = chain_ops.singleton_report(code)
     print(f"min-distance\t{report.d if report.d is not None else '-'}")
     print(f"prefix-blocks\t{report.r}")
@@ -146,17 +138,15 @@ def _cmd_mds(args) -> int:
     return 0 if report.is_mds else 1
 
 
-def _cmd_dual(args) -> int:
-    space = load_space(args.space)
-    code = load_code(space, args.code, args.cap)
-    sys.stdout.write(format_code(dual_code(code, args.cap)))
+def _cmd_dual(space, args) -> int:
+    code = load_code(space, args.code)
+    sys.stdout.write(format_code(dual_code(code)))
     return 0
 
 
-def _cmd_packrad(args) -> int:
-    space = load_space(args.space)
-    code = load_code(space, args.code, args.cap)
-    brute = chain_ops.packing_radius(code, args.cap)
+def _cmd_packrad(space, args) -> int:
+    code = load_code(space, args.code)
+    brute = chain_ops.packing_radius(code)
     print(f"bruteforce\t{brute}")
     if space.pomset.is_chain():
         formula = chain_ops.packing_radius_chain(code)
@@ -166,10 +156,9 @@ def _cmd_packrad(args) -> int:
     return 0
 
 
-def _cmd_duality4(args) -> int:
-    space = load_space(args.space)
-    code = load_code(space, args.code, args.cap)
-    report = chain_ops.duality_equivalence(code, args.cap)
+def _cmd_duality4(space, args) -> int:
+    code = load_code(space, args.code)
+    report = chain_ops.duality_equivalence(code)
     print(f"mds\t{str(report.mds_primal).lower()}")
     print(f"perfect\t{str(report.perfect_primal).lower()}")
     print(f"dual-perfect\t{str(report.perfect_dual).lower()}")
@@ -178,12 +167,10 @@ def _cmd_duality4(args) -> int:
     return 0 if report.all_equal else 1
 
 
-def _cmd_selftest(args) -> int:
-    space = load_space(args.space)
-    cap = args.cap
+def _cmd_selftest(space, args) -> int:
     rows: list[tuple[str, str, object, object, bool]] = []
 
-    census = support_census(space, cap)
+    census = support_census(space)
     ideals = space.pomset.ideals()
     top = space.n * space.max_lee
 
@@ -226,17 +213,11 @@ def _cmd_selftest(args) -> int:
             shells_f == shells_o and sum(shells_f) == space.m**k,
         ))
 
-    # weight shells, closed form vs census
-    for r in range(top + 1):
-        f = shells[r]
-        o = by_card.get(r, 0)
-        rows.append(("weight-shells", f"r={r}", f, o, f == o))
-
     # full-count ball structure
     for ideal in ideals:
         if not ideal.is_full_count():
             continue
-        report = full_count_structure(space, ideal, cap)
+        report = full_count_structure(space, ideal)
         rows.append((
             "full-count-ball", ideal.counts.literal(),
             report.expected_ball_size, report.ball_size, report.ok,
@@ -370,7 +351,7 @@ def main(argv=None) -> int:
             _err("perfect construct needs --ideal")
             return 2
     try:
-        return args.handler(args)
+        return args.handler(load_space(args.space, args.cap), args)
     except (OSError, PomsetBlockError, ValueError) as exc:
         _err(str(exc))
         return 2

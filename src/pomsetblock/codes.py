@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .balls import in_i_ball, in_r_ball
-from .block_space import DEFAULT_CAP, BlockSpace, BlockVector
+from .block_space import BlockSpace, BlockVector
 from .errors import (
     DivisibilityFails,
     NotFullCount,
@@ -44,20 +44,19 @@ class Code:
         self._linear = None
 
     @classmethod
-    def from_generators(cls, space: BlockSpace, rows,
-                        cap: int = DEFAULT_CAP) -> Code:
+    def from_generators(cls, space: BlockSpace, rows) -> Code:
         """The span of the given rows: all Z_m-linear combinations.
 
-        Raises ``SpaceTooLarge`` as soon as the span passes ``cap`` words.
+        Raises ``SpaceTooLarge`` as soon as the span passes the space's cap.
         """
         gens = [
             space.vector(r.coords if isinstance(r, BlockVector) else r).coords
             for r in rows
         ]
-        words = space.span(gens, cap)
-        if len(words) > cap:
+        words = space.span(gens, space.cap)
+        if len(words) > space.cap:
             raise SpaceTooLarge(
-                f"span of {len(gens)} generator rows exceeds the cap {cap}"
+                f"span of {len(gens)} generator rows exceeds the cap {space.cap}"
             )
         return cls(space, words)
 
@@ -148,8 +147,7 @@ class PerfectnessCertificate:
 
 
 def verify_perfect(code: Code, ideal: Ideal | None = None,
-                   radius: int | None = None,
-                   cap: int = DEFAULT_CAP) -> PerfectnessCertificate:
+                   radius: int | None = None) -> PerfectnessCertificate:
     """Scan the whole space; every vector must sit in exactly one ball."""
     if (ideal is None) == (radius is None):
         raise ValueError("give exactly one of ideal= or radius=")
@@ -163,7 +161,7 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
         kind, parameter = "radius", radius
     overlap = None
     uncovered = None
-    for v in space.vectors(cap):
+    for v in space.vectors():
         hits = []
         for c in code:
             if member(c, v):
@@ -186,19 +184,17 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
     )
 
 
-def construct_perfect_full(space: BlockSpace, ideal: Ideal,
-                           cap: int = DEFAULT_CAP) -> Code:
+def construct_perfect_full(space: BlockSpace, ideal: Ideal) -> Code:
     """The zero-section transversal for a full-count ideal: all vectors
     vanishing on the root blocks. One codeword per ball, hence perfect;
     it is what :func:`construct_perfect_partial` builds when no count is
     partial."""
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
-    return construct_perfect_partial(space, ideal, cap)
+    return construct_perfect_partial(space, ideal)
 
 
-def construct_perfect_partial(space: BlockSpace, ideal: Ideal,
-                              cap: int = DEFAULT_CAP) -> Code:
+def construct_perfect_partial(space: BlockSpace, ideal: Ideal) -> Code:
     """Perfect-code centers for any ideal: every vector whose block i
     entries come from the residues allowed on block i.
 
@@ -222,15 +218,15 @@ def construct_perfect_partial(space: BlockSpace, ideal: Ideal,
         k = space.pi[i - 1]
         size *= len(allowed) ** k
         per_block.append(list(product(allowed, repeat=k)))
-    if size > cap:
+    if size > space.cap:
         raise SpaceTooLarge(
-            f"construction would emit {size} codewords, above the cap {cap}"
+            f"construction would emit {size} codewords, above the cap {space.cap}"
         )
     return Code(space, [tuple(x for b in blocks for x in b)
                         for blocks in product(*per_block)])
 
 
-def dual_code(code: Code, cap: int = DEFAULT_CAP) -> Code:
+def dual_code(code: Code) -> Code:
     """All vectors orthogonal (dot product mod m over flat coordinates)
     to every codeword, found by a full scan."""
     if not code.linear:
@@ -239,7 +235,7 @@ def dual_code(code: Code, cap: int = DEFAULT_CAP) -> Code:
     m = space.m
     words = [w.coords for w in code]
     perp = []
-    for coords in space.coord_tuples(cap):
+    for coords in space.coord_tuples():
         if all(sum(x * y for x, y in zip(coords, w)) % m == 0 for w in words):
             perp.append(coords)
     return Code(space, perp)
@@ -259,12 +255,11 @@ class PerpDualityReport:
         return self.code_perfect == self.dual_perfect
 
 
-def perp_duality_report(code: Code, ideal: Ideal,
-                        cap: int = DEFAULT_CAP) -> PerpDualityReport:
+def perp_duality_report(code: Code, ideal: Ideal) -> PerpDualityReport:
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
-    left = verify_perfect(code, ideal=ideal, cap=cap).is_perfect
+    left = verify_perfect(code, ideal=ideal).is_perfect
     dual_space = code.space.dual()
-    dualc = dual_code(code, cap).in_space(dual_space)
-    right = verify_perfect(dualc, ideal=ideal.complement(), cap=cap).is_perfect
+    dualc = dual_code(code).in_space(dual_space)
+    right = verify_perfect(dualc, ideal=ideal.complement()).is_perfect
     return PerpDualityReport(code_perfect=left, dual_perfect=right)

@@ -28,7 +28,7 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_space(text: str) -> BlockSpace:
+def parse_space(text: str, cap: int = DEFAULT_CAP) -> BlockSpace:
     m = None
     blocks = None
     pairs: list[tuple[int, int]] = []
@@ -69,7 +69,7 @@ def parse_space(text: str) -> BlockSpace:
         raise ParseError("missing 'blocks' line")
     try:
         pomset = Pomset(len(blocks), m // 2, pairs)
-        return BlockSpace(m, pomset, blocks)
+        return BlockSpace(m, pomset, blocks, cap)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -99,9 +99,9 @@ def parse_ideal(space: BlockSpace, text: str) -> Ideal:
     return Ideal(space.pomset, Multiset.parse(text, space.n, space.max_lee))
 
 
-def parse_code(space: BlockSpace, text: str, cap: int = DEFAULT_CAP) -> Code:
+def parse_code(space: BlockSpace, text: str) -> Code:
     """Parse a code file; a ``linear`` file is expanded to its span, which
-    may hold at most ``cap`` words."""
+    may hold at most the space's cap of words."""
     directive = None
     rows: list[BlockVector] = []
     for lineno, line in _content_lines(text):
@@ -122,7 +122,7 @@ def parse_code(space: BlockSpace, text: str, cap: int = DEFAULT_CAP) -> Code:
     if not rows:
         raise ParseError("code file lists no vectors")
     if directive == "linear":
-        return Code.from_generators(space, rows, cap)
+        return Code.from_generators(space, rows)
     return Code(space, rows)
 
 
@@ -132,11 +132,11 @@ def format_code(code: Code) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_space(path) -> BlockSpace:
+def load_space(path, cap: int = DEFAULT_CAP) -> BlockSpace:
     with open(path, encoding="utf-8") as fh:
-        return parse_space(fh.read())
+        return parse_space(fh.read(), cap)
 
 
-def load_code(space: BlockSpace, path, cap: int = DEFAULT_CAP) -> Code:
+def load_code(space: BlockSpace, path) -> Code:
     with open(path, encoding="utf-8") as fh:
-        return parse_code(space, fh.read(), cap)
+        return parse_code(space, fh.read())

@@ -13,18 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .block_space import (
-    DEFAULT_CAP,
-    BlockSpace,
-    block_max_lee,
-    block_shell_size,
-)
+from .block_space import BlockSpace, block_max_lee, block_shell_size
 from .errors import NotAChain
 from .balls import _shells_upto, profile_census, weight_enumerator
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
     """Oracle for :func:`block_shell_size` by scanning Z_m^k."""
+    if not 0 <= r <= m // 2:
+        raise ValueError(f"weight {r} outside 0..{m // 2}")
     return sum(1 for block in product(range(m), repeat=k)
                if block_max_lee(block, m) == r)
 
@@ -58,12 +55,11 @@ def weight_distribution(space: BlockSpace) -> WeightDistribution:
     return WeightDistribution(space, weight_enumerator(space))
 
 
-def weight_distribution_enumerated(space: BlockSpace,
-                                   cap: int = DEFAULT_CAP) -> WeightDistribution:
+def weight_distribution_enumerated(space: BlockSpace) -> WeightDistribution:
     """All shell counts by a full-space scan (the oracle)."""
     pomset = space.pomset
     shells = [0] * (space.n * space.max_lee + 1)
-    for profile, mult in profile_census(space, cap).items():
+    for profile, mult in profile_census(space).items():
         shells[sum(pomset.generated_counts(profile))] += mult
     return WeightDistribution(space, tuple(shells))
 

@@ -3,7 +3,6 @@
 import pytest
 
 from pomsetblock import (
-    DEFAULT_CAP,
     NotFullCount,
     antichain_space,
     chain_space,
@@ -89,6 +88,16 @@ class TestEnumerators:
         sp = small_chain()
         assert [v.coords for v in r_ball(sp.zero(), 0)] == [(0, 0)]
         assert {v.coords for v in r_ball(sp.zero(), 2)} == {(a, 0) for a in range(5)}
+
+    @pytest.mark.parametrize("radius", [-1, 5, 99])
+    def test_r_ball_rejects_the_radii_r_ball_size_rejects(self, radius):
+        # the top weight of a 2-block chain over Z_5 is 4
+        sp = small_chain()
+        with pytest.raises(ValueError) as closed:
+            r_ball_size(sp, radius)
+        with pytest.raises(ValueError) as enumerated:
+            r_ball(sp.zero(), radius)
+        assert str(enumerated.value) == str(closed.value)
 
     def test_r_ball_is_union_of_ideal_balls(self):
         sp = small_chain()
@@ -248,8 +257,8 @@ def test_perp_verdict_needs_the_coordinate_form(monkeypatch):
     stray = sp.vector((0, 1))
     real_i_ball = balls.i_ball
 
-    def forged_i_ball(center, ideal_, cap=DEFAULT_CAP):
-        members = real_i_ball(center, ideal_, cap)
+    def forged_i_ball(center, ideal_):
+        members = real_i_ball(center, ideal_)
         return members + [stray] if center == sp.zero() else members
 
     monkeypatch.setattr(balls, "i_ball", forged_i_ball)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pomsetblock import (
     BlockSpace,
+    Code,
     DimensionMismatch,
     Multiset,
     NonUnitBlocks,
@@ -71,8 +72,27 @@ class TestConstruction:
     def test_enumeration_guard(self):
         sp = chain_space(5, (1, 1))
         with pytest.raises(SpaceTooLarge):
-            list(sp.vectors(cap=24))
-        assert len(list(sp.vectors(cap=25))) == 25
+            list(BlockSpace(5, sp.pomset, sp.pi, cap=24).vectors())
+        assert len(list(BlockSpace(5, sp.pomset, sp.pi, cap=25).vectors())) == 25
+
+    def test_dual_keeps_the_cap(self):
+        sp = chain_space(5, (1, 1))
+        capped = BlockSpace(5, sp.pomset, sp.pi, cap=24)
+        assert capped.dual().cap == 24
+        assert sp.dual().cap == sp.cap
+        with pytest.raises(SpaceTooLarge):
+            list(capped.dual().vectors())
+
+    def test_cap_is_not_part_of_the_space(self):
+        sp = chain_space(5, (1, 1))
+        capped = BlockSpace(5, sp.pomset, sp.pi, cap=24)
+        assert capped == sp and hash(capped) == hash(sp)
+        assert repr(capped) == repr(sp)
+        u, v = sp.vector((1, 2)), capped.vector((3, 4))
+        assert (u + v).coords == (v + u).coords == (4, 1)
+        assert capped.distance(u, v) == sp.distance(u, v)
+        assert Code(sp, [u, v]) == Code(capped, [u.coords, v.coords])
+        assert Code(capped, [u, v]).min_distance() == Code(sp, [u, v]).min_distance()
 
     def test_odometer_order(self):
         sp = chain_space(3, (1, 1))

@@ -227,6 +227,44 @@ class TestSelftest:
         assert err.startswith(f"pomsetblock: {words}") and err.count("\n") == 1
 
 
+# every path that scans Z_5^2, and the two whose output is a code of 25
+# words: the whole space (empty ideal) and the span of a basis
+CAPPED_PATHS = {
+    "ballsize-ideal": ["ballsize", "{space}", "--ideal", "2/1", "--enumerate"],
+    "ballsize-radius": ["ballsize", "{space}", "--radius", "3", "--enumerate"],
+    "ballsize-ideal-center": ["ballsize", "{space}", "--ideal", "2/1",
+                              "--enumerate", "--center", "1 2"],
+    "ballsize-radius-center": ["ballsize", "{space}", "--radius", "3",
+                               "--enumerate", "--center", "1 2"],
+    "wdist-oracle": ["wdist", "{space}", "--oracle"],
+    "verify-ideal": ["perfect", "verify", "{space}", "{diag}", "--ideal", "2/1"],
+    "verify-radius": ["perfect", "verify", "{space}", "{diag}", "--radius", "2"],
+    "dual": ["dual", "{space}", "{diag}"],
+    "packrad": ["packrad", "{space}", "{diag}"],
+    "duality4": ["duality4", "{space}", "{diag}"],
+    "selftest": ["selftest", "{space}"],
+    "construct": ["perfect", "construct", "{space}", "--ideal", "-"],
+    "linear-code": ["mds", "check", "{space}", "{basis}"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(CAPPED_PATHS))
+def test_cap_set_on_the_space_bounds_every_path(capsys, small, tmp_path, path):
+    diag = tmp_path / "diag.code"
+    diag.write_text("linear\n1 1\n")
+    basis = tmp_path / "basis.code"
+    basis.write_text("linear\n1 0\n0 1\n")
+    argv = [a.format(space=small, diag=diag, basis=basis)
+            for a in CAPPED_PATHS[path]]
+    code, out, err = run(capsys, "--cap", "24", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("pomsetblock: ") and err.count("\n") == 1
+    assert "cap 24" in err
+    free = run(capsys, *argv)
+    assert free[0] in (0, 1) and free[2] == ""
+    assert run(capsys, "--cap", "25", *argv) == free
+
+
 def test_byte_determinism(capsys, small):
     outs = set()
     for _ in range(2):

@@ -67,6 +67,14 @@ class TestBlockShells:
                 ]
                 assert sum(shells) == m**k
 
+    @pytest.mark.parametrize("r", [-1, 3, 9])
+    def test_oracle_rejects_what_the_closed_form_rejects(self, r):
+        with pytest.raises(ValueError) as closed:
+            block_shell_size(5, 1, r)
+        with pytest.raises(ValueError) as oracle:
+            block_shell_size_enumerated(5, 1, r)
+        assert str(oracle.value) == str(closed.value) == f"weight {r} outside 0..2"
+
 
 class TestWeightShells:
     def test_small_chain_distribution(self):
