@@ -51,7 +51,6 @@ from .balls import (
     i_ball_size_enumerated,
     i_sphere_size,
     in_i_ball,
-    in_r_ball,
     nonlinearity_witness,
     profile_census,
     r_ball,

@@ -8,7 +8,6 @@ enumeration-based counterparts so each can falsify the other.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -30,11 +29,6 @@ def in_i_ball(u: BlockVector, v: BlockVector, ideal: Ideal) -> bool:
     """
     _check_center(u, v)
     return (u - v).support().is_submset(ideal.counts)
-
-
-def in_r_ball(u: BlockVector, v: BlockVector, r: int) -> bool:
-    _check_center(u, v)
-    return (u - v).weight() <= r
 
 
 def i_ball(center: BlockVector, ideal: Ideal) -> list[BlockVector]:
@@ -205,8 +199,7 @@ class FullCountBallReport:
     coordinate_form: bool
     coset_count: int
     expected_coset_count: int
-    translates_ok: bool
-    identical_or_disjoint_ok: bool
+    translates_partition: bool
     perp_equals_dual_ball: bool
 
     @property
@@ -216,8 +209,7 @@ class FullCountBallReport:
             and self.is_submodule
             and self.coordinate_form
             and self.coset_count == self.expected_coset_count
-            and self.translates_ok
-            and self.identical_or_disjoint_ok
+            and self.translates_partition
             and self.perp_equals_dual_ball
         )
 
@@ -229,8 +221,9 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
       so under scalar multiples over Z_m);
     * its size is m raised to the total length of the root blocks;
     * it is exactly the set of vectors vanishing off the root blocks;
-    * its translates are the balls at every center, pairwise identical or
-      disjoint, and they partition the space into m^(N - root length) classes;
+    * its translates by the m^(N - root length) vectors vanishing on the
+      root blocks cover every vector exactly once, so they partition the
+      space;
     * its dot-product perp (the vectors orthogonal to the unit vectors of
       the root coordinates) equals the complement ideal's ball in the dual
       space.
@@ -238,8 +231,7 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
     m, N = space.m, space.N
-    zero = space.zero()
-    members = [v.coords for v in i_ball(zero, ideal)]
+    members = [v.coords for v in i_ball(space.zero(), ideal)]
     member_set = set(members)
     size = len(members)
     root_len = sum(space.pi[i - 1] for i in ideal.root_set)
@@ -257,39 +249,13 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
         all(v[idx] == 0 for idx in outside) for v in members
     )
 
-    # distinct translates, keyed off the free coordinates, and the perp,
-    # tested against the unit vectors of the root coordinates: both are
-    # valid once the coordinate form holds, since those unit vectors then
-    # span the ball, so the perp verdict also requires the coordinate form.
-    # The partition count is exactly the key count.
-    projections = set()
-    perp = set()
-    for coords in space.coord_tuples():
-        projections.add(tuple(coords[idx] for idx in outside))
-        if not any(coords[idx] for idx in inside):
-            perp.add(coords)
-    coset_count = len(projections)
-    expected_cosets = m ** (N - root_len)
-
-    # translate property and identical-or-disjoint, at fixed sample centers
-    rng = random.Random(0)
-    centers = [zero] + [
-        space.vector(tuple(rng.randrange(m) for _ in range(N))) for _ in range(3)
-    ]
-    direct = [member_set] + [
-        {v.coords for v in i_ball(u, ideal)} for u in centers[1:]
-    ]
-    translates_ok = all(
-        direct[idx]
-        == {tuple((x + y) % m for x, y in zip(centers[idx].coords, b))
-            for b in members}
-        for idx in range(len(centers))
-    )
-    ident_ok = all(
-        direct[a] == direct[b] or not (direct[a] & direct[b])
-        for a in range(len(centers))
-        for b in range(a + 1, len(centers))
-    )
+    # the vectors vanishing on the root coordinates: the perp of those
+    # coordinates' unit vectors, which span the ball once the coordinate
+    # form holds (so the perp verdict also requires it), and one vector of
+    # each translate of such a ball, so its translates by them must tile
+    perp = {coords for coords in space.coord_tuples()
+            if not any(coords[idx] for idx in inside)}
+    translates_partition = set(space.cover_counts(perp, members)) == {1}
 
     dual_space = space.dual()
     dual_ball = {v.coords for v in i_ball(dual_space.zero(), ideal.complement())}
@@ -298,10 +264,9 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
         expected_ball_size=expected_size,
         is_submodule=closed,
         coordinate_form=coordinate_form,
-        coset_count=coset_count,
-        expected_coset_count=expected_cosets,
-        translates_ok=translates_ok,
-        identical_or_disjoint_ok=ident_ok,
+        coset_count=len(perp),
+        expected_coset_count=m ** (N - root_len),
+        translates_partition=translates_partition,
         perp_equals_dual_ball=coordinate_form and perp == dual_ball,
     )
 
@@ -325,6 +290,7 @@ def nonlinearity_witness(space: BlockSpace, ideal: Ideal) -> tuple[BlockVector, 
     coords[lo] = 1
     v = space.vector(tuple(coords))
     zero = space.zero()
-    assert in_i_ball(zero, u, ideal) and in_i_ball(zero, v, ideal)
-    assert not in_i_ball(zero, u + v, ideal)
+    if not (in_i_ball(zero, u, ideal) and in_i_ball(zero, v, ideal)
+            and not in_i_ball(zero, u + v, ideal)):
+        raise AssertionError(f"no nonlinearity witness at block {i} for {ideal!r}")
     return u, v

@@ -147,6 +147,30 @@ class BlockSpace:
         for coords in self.coord_tuples():
             yield BlockVector(self, coords)
 
+    def vector_at(self, index: int) -> BlockVector:
+        """The vector at position ``index`` of the odometer order."""
+        coords = []
+        for _ in range(self.N):
+            index, x = divmod(index, self.m)
+            coords.append(x)
+        return BlockVector(self, tuple(reversed(coords)))
+
+    def cover_counts(self, centers, ball) -> bytearray:
+        """How many translates c + b (c in ``centers``, b in ``ball``, both
+        reduced coordinate tuples) hold each vector, capped at 2 and
+        indexed by odometer position: one tally of |centers|*|ball| sums."""
+        self.check_enumerable()
+        m = self.m
+        counts = bytearray(self.size())
+        for c in centers:
+            for b in ball:
+                idx = 0
+                for x, y in zip(c, b):
+                    idx = idx * m + (x + y) % m
+                if counts[idx] < 2:
+                    counts[idx] += 1
+        return counts
+
     def span(self, rows, limit: int) -> set[tuple[int, ...]]:
         """The Z_m-span of ``rows`` (reduced coordinate tuples).
 

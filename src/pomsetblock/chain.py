@@ -55,27 +55,18 @@ def _ceil_log(m: int, size: int) -> int:
 def packing_radius(code: Code) -> int:
     """Greatest r whose r-balls at distinct codewords are pairwise disjoint.
 
-    Brute force over the whole space: some vector lies in two r-balls
-    exactly when its two nearest codewords both sit within r, so the
-    radius is one less than the smallest second-nearest distance. Works
-    for any order, not just chains. A one-word code packs the whole space.
+    Tallies the balls at radius 1, 2, ... until two overlap; the balls of
+    radius n*floor(m/2) are the whole space, so that happens by then for
+    two or more words. Works for any order, not just chains. A one-word
+    code packs the whole space.
     """
     space = code.space
-    top = space.n * space.max_lee
     if len(code) < 2:
-        return top
-    best = top + 1
-    for v in space.vectors():
-        d1, d2 = None, None
-        for c in code:
-            d = (v - c).weight()
-            if d1 is None or d < d1:
-                d1, d2 = d, d1
-            elif d2 is None or d < d2:
-                d2 = d
-        if d2 < best:
-            best = d2
-    return best - 1
+        return space.n * space.max_lee
+    r = 0
+    while verify_perfect(code, radius=r + 1).disjoint:
+        r += 1
+    return r
 
 
 def packing_radius_chain(code: Code) -> int:

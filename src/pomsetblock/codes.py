@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .balls import in_i_ball, in_r_ball
+from .balls import i_ball, r_ball
 from .block_space import BlockSpace, BlockVector
 from .errors import (
     DivisibilityFails,
@@ -127,7 +127,7 @@ class Code:
 
 @dataclass(frozen=True)
 class PerfectnessCertificate:
-    """Outcome of an exhaustive disjointness-and-cover scan.
+    """Outcome of a whole-space disjointness-and-cover tally.
 
     ``parameter`` is the ideal or the radius the balls were drawn with;
     ``overlap`` holds the first vector found in two codeword balls (with
@@ -148,32 +148,33 @@ class PerfectnessCertificate:
 
 def verify_perfect(code: Code, ideal: Ideal | None = None,
                    radius: int | None = None) -> PerfectnessCertificate:
-    """Scan the whole space; every vector must sit in exactly one ball."""
+    """Tally the codeword balls over the whole space; every vector must sit
+    in exactly one.
+
+    Since d(u, v) = w(u - v), the ball at c is c plus the zero ball, so one
+    :meth:`BlockSpace.cover_counts` over the codewords decides both
+    verdicts. The witnesses are the first vectors in odometer order with
+    two hits and with none; an overlap names the first two codewords, in
+    code order, whose balls hold it.
+    """
     if (ideal is None) == (radius is None):
         raise ValueError("give exactly one of ideal= or radius=")
     space = code.space
+    zero = space.zero()
     if ideal is not None:
-        member = lambda c, v: in_i_ball(c, v, ideal)
+        ball = {v.coords for v in i_ball(zero, ideal)}
         kind, parameter = "ideal", ideal
     else:
-        space.check_weight(radius, "radius")
-        member = lambda c, v: in_r_ball(c, v, radius)
+        ball = {v.coords for v in r_ball(zero, radius)}
         kind, parameter = "radius", radius
-    overlap = None
-    uncovered = None
-    for v in space.vectors():
-        hits = []
-        for c in code:
-            if member(c, v):
-                hits.append(c)
-                if len(hits) > 1:
-                    break
-        if len(hits) > 1 and overlap is None:
-            overlap = (v, hits[0], hits[1])
-        elif not hits and uncovered is None:
-            uncovered = v
-        if overlap is not None and uncovered is not None:
-            break
+    hits = space.cover_counts(code.coord_set, ball)
+    crowded, empty = hits.find(2), hits.find(0)
+    overlap = uncovered = None
+    if crowded >= 0:
+        v = space.vector_at(crowded)
+        overlap = (v, *[c for c in code if (v - c).coords in ball][:2])
+    if empty >= 0:
+        uncovered = space.vector_at(empty)
     return PerfectnessCertificate(
         kind=kind,
         parameter=parameter,

@@ -20,6 +20,8 @@ from .balls import _shells_upto, profile_census, weight_enumerator
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
     """Oracle for :func:`block_shell_size` by scanning Z_m^k."""
+    if k < 1:
+        raise ValueError("block length must be positive")
     if not 0 <= r <= m // 2:
         raise ValueError(f"weight {r} outside 0..{m // 2}")
     return sum(1 for block in product(range(m), repeat=k)

@@ -173,6 +173,65 @@ def perp_by_dot_scan(space: pb.BlockSpace, words) -> set[tuple[int, ...]]:
     }
 
 
+def perfect_by_pair_scan(code: pb.Code, ideal: pb.Ideal | None = None,
+                         radius: int | None = None) -> pb.PerfectnessCertificate:
+    """Oracle for ``verify_perfect``: test every vector against every
+    codeword, in odometer order then code order, and keep the first vector
+    in two balls (with those two codewords) and the first in none."""
+    space = code.space
+    if ideal is not None:
+        member = lambda c, v: pb.in_i_ball(c, v, ideal)
+        kind, parameter = "ideal", ideal
+    else:
+        space.check_weight(radius, "radius")
+        member = lambda c, v: (c - v).weight() <= radius
+        kind, parameter = "radius", radius
+    overlap = None
+    uncovered = None
+    for v in space.vectors():
+        hits = []
+        for c in code:
+            if member(c, v):
+                hits.append(c)
+                if len(hits) > 1:
+                    break
+        if len(hits) > 1 and overlap is None:
+            overlap = (v, hits[0], hits[1])
+        elif not hits and uncovered is None:
+            uncovered = v
+        if overlap is not None and uncovered is not None:
+            break
+    return pb.PerfectnessCertificate(
+        kind=kind,
+        parameter=parameter,
+        disjoint=overlap is None,
+        covering=uncovered is None,
+        overlap=overlap,
+        uncovered=uncovered,
+    )
+
+
+def packing_radius_by_pair_scan(code: pb.Code) -> int:
+    """Oracle for ``packing_radius``: one less than the smallest distance
+    from any vector to its second-nearest codeword."""
+    space = code.space
+    top = space.n * space.max_lee
+    if len(code) < 2:
+        return top
+    best = top + 1
+    for v in space.vectors():
+        d1, d2 = None, None
+        for c in code:
+            d = (v - c).weight()
+            if d1 is None or d < d1:
+                d1, d2 = d, d1
+            elif d2 is None or d < d2:
+                d2 = d
+        if d2 < best:
+            best = d2
+    return best - 1
+
+
 def coords_to_index(coords, m: int) -> int:
     idx = 0
     for c in coords:

@@ -1,5 +1,10 @@
 """Balls and spheres: membership, enumeration order, closed forms, structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pomsetblock import (
@@ -269,6 +274,9 @@ def test_perp_verdict_needs_the_coordinate_form(monkeypatch):
     report = full_count_structure(sp, ideal)
     assert not report.coordinate_form
     assert not report.perp_equals_dual_ball
+    # six members translated by five centers cannot tile 25 vectors once
+    assert not report.translates_partition
+    assert not report.ok
 
 
 # grid spaces small enough for the |space| x |ball| dot-product scan
@@ -324,6 +332,24 @@ class TestPartialBallNonlinearity:
         ideal = parse_ideal(sp, "3/1")
         u, v = nonlinearity_witness(sp, ideal)
         assert not in_i_ball(sp.zero(), u + v, ideal)
+
+    def test_forged_membership_fails_under_optimisation(self):
+        # the verification must not be an assert, which python -O strips
+        script = (
+            "from pomsetblock import antichain_space, balls, parse_ideal\n"
+            "balls.in_i_ball = lambda u, v, ideal: False\n"
+            "sp = antichain_space(9, (1,))\n"
+            "balls.nonlinearity_witness(sp, parse_ideal(sp, '1/1'))\n"
+        )
+        src = str(Path(balls.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode != 0
+        assert "AssertionError: no nonlinearity witness" in proc.stderr
 
     def test_full_count_has_no_witness(self):
         sp = small_chain()

@@ -99,6 +99,35 @@ class TestConstruction:
         got = [v.coords for v in sp.vectors()]
         assert got[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
 
+    def test_vector_at_inverts_the_odometer(self):
+        sp = antichain_space(3, (2, 1))
+        assert [sp.vector_at(i) for i in range(sp.size())] == list(sp.vectors())
+
+
+class TestCoverCounts:
+    def test_counts_translates_and_caps_at_two(self):
+        sp = antichain_space(5, (1,))
+        ball = [(0,), (1,), (4,)]
+        assert list(sp.cover_counts([(0,)], ball)) == [1, 1, 0, 0, 1]
+        assert list(sp.cover_counts([(0,), (1,)], ball)) == [2, 2, 1, 0, 1]
+        assert list(sp.cover_counts([(0,), (1,), (4,)], ball)) == [2, 2, 1, 1, 2]
+
+    def test_matches_counting_every_sum(self):
+        sp = chain_space(4, (1, 2))
+        centers = [(0, 0, 0), (1, 2, 3), (3, 3, 1)]
+        ball = [(0, 0, 0), (0, 1, 0), (2, 0, 3), (0, 0, 1)]
+        counts = sp.cover_counts(centers, ball)
+        for idx, v in enumerate(sp.vectors()):
+            hits = sum(tuple((a + b) % 4 for a, b in zip(c, w)) == v.coords
+                       for c in centers for w in ball)
+            assert counts[idx] == min(hits, 2)
+
+    def test_bounded_by_the_cap(self):
+        sp = chain_space(5, (1, 1))
+        capped = BlockSpace(5, sp.pomset, sp.pi, cap=24)
+        with pytest.raises(SpaceTooLarge):
+            capped.cover_counts([(0, 0)], [(0, 0)])
+
 
 class TestSupportAndWeight:
     def test_wide_space_block_support(self):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomsetblock import (
     Code,
@@ -15,12 +17,20 @@ from pomsetblock import (
     construct_perfect_full,
     construct_perfect_partial,
     dual_code,
+    packing_radius,
     parse_ideal,
     perp_duality_report,
+    space_with_order,
     verify_perfect,
 )
 
-from helpers import GRID, grid_space, random_code
+from helpers import (
+    GRID,
+    grid_space,
+    packing_radius_by_pair_scan,
+    perfect_by_pair_scan,
+    random_code,
+)
 
 
 def small_chain():
@@ -219,6 +229,36 @@ class TestVerifyPerfect:
             verify_perfect(code)
         with pytest.raises(ValueError):
             verify_perfect(code, ideal=parse_ideal(sp, "-"), radius=1)
+
+
+@st.composite
+def codes_with_balls(draw):
+    """A random order on at most 3 blocks of length at most 2, relabelled,
+    with m <= 7 and at most 3000 vectors; a code of 1..12 arbitrary words,
+    one of its space's ideals and one radius."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 3))
+    pi = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)
+              .filter(lambda pi: m ** sum(pi) <= 3000))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    perm = draw(st.permutations(range(1, n + 1)))
+    space = space_with_order(m, pi, [(perm[i - 1], perm[j - 1]) for i, j in chosen])
+    word = st.tuples(*[st.integers(0, m - 1)] * space.N)
+    words = draw(st.lists(word, min_size=1, max_size=12, unique=True))
+    ideal = draw(st.sampled_from(space.pomset.ideals()))
+    radius = draw(st.integers(0, space.n * space.max_lee))
+    return Code(space, words), ideal, radius
+
+
+@given(codes_with_balls())
+@settings(max_examples=300, deadline=None)
+def test_tally_matches_the_pair_scan(case):
+    code, ideal, radius = case
+    assert verify_perfect(code, ideal=ideal) == perfect_by_pair_scan(code, ideal=ideal)
+    assert verify_perfect(code, radius=radius) == perfect_by_pair_scan(
+        code, radius=radius)
+    assert packing_radius(code) == packing_radius_by_pair_scan(code)
 
 
 class TestDuals:

@@ -67,13 +67,18 @@ class TestBlockShells:
                 ]
                 assert sum(shells) == m**k
 
-    @pytest.mark.parametrize("r", [-1, 3, 9])
-    def test_oracle_rejects_what_the_closed_form_rejects(self, r):
+    @pytest.mark.parametrize("k, r, message", [
+        (1, -1, "weight -1 outside 0..2"),
+        (1, 3, "weight 3 outside 0..2"),
+        (1, 9, "weight 9 outside 0..2"),
+        (0, 1, "block length must be positive"),
+    ], ids=["-1", "3", "9", "k=0"])
+    def test_oracle_rejects_what_the_closed_form_rejects(self, k, r, message):
         with pytest.raises(ValueError) as closed:
-            block_shell_size(5, 1, r)
+            block_shell_size(5, k, r)
         with pytest.raises(ValueError) as oracle:
-            block_shell_size_enumerated(5, 1, r)
-        assert str(oracle.value) == str(closed.value) == f"weight {r} outside 0..2"
+            block_shell_size_enumerated(5, k, r)
+        assert str(oracle.value) == str(closed.value) == message
 
 
 class TestWeightShells:
