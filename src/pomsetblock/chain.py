@@ -55,16 +55,21 @@ def _ceil_log(m: int, size: int) -> int:
 def packing_radius(code: Code) -> int:
     """Greatest r whose r-balls at distinct codewords are pairwise disjoint.
 
-    Tallies the balls at radius 1, 2, ... until two overlap; the balls of
-    radius n*floor(m/2) are the whole space, so that happens by then for
-    two or more words. Works for any order, not just chains. A one-word
-    code packs the whole space.
+    One scan of the space weighs every vector once; the zero ball of each
+    radius 1, 2, ... is read off those weights and its translates over
+    the code are tallied until two overlap. The balls of radius
+    n*floor(m/2) are the whole space, so that happens by then for two or
+    more words. Works for any order, not just chains. A one-word code
+    packs the whole space.
     """
     space = code.space
     if len(code) < 2:
         return space.n * space.max_lee
+    weighed = [(v.weight(), v.coords) for v in space.vectors()]
     r = 0
-    while verify_perfect(code, radius=r + 1).disjoint:
+    while 2 not in space.cover_counts(
+        code.coord_set, [b for w, b in weighed if w <= r + 1]
+    ):
         r += 1
     return r
 

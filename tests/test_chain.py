@@ -6,6 +6,7 @@ import pytest
 
 from pomsetblock import (
     BadCardinality,
+    BlockVector,
     Code,
     NotAChain,
     antichain_space,
@@ -74,6 +75,18 @@ class TestPackingRadius:
         c = unit_repetition_code(chain_space(5, (1, 1, 1)))
         assert packing_radius_chain(c) == 4
         assert packing_radius(c) == 4
+
+    def test_one_weight_scan_whatever_the_radius(self, monkeypatch):
+        # radius h(n-1) = 10 on 4 words: a weight scan per radius (11) would
+        # cost more than a scan per codeword (4); one scan is the bound
+        sp = chain_space(4, (1,) * 6)
+        c = unit_repetition_code(sp)
+        calls = []
+        weight = BlockVector.weight
+        monkeypatch.setattr(BlockVector, "weight",
+                            lambda v: calls.append(1) or weight(v))
+        assert packing_radius(c) == 10
+        assert len(calls) == sp.size()
 
     def test_single_word_packs_everything(self):
         sp = small_chain()
