@@ -39,8 +39,10 @@ ideal = parse_ideal(space, "2/1")
 print("\nthe ball of the full-count ideal 2/1:",
       sorted(v.coords for v in i_ball(space.zero(), ideal)))
 report = full_count_structure(space, ideal)
+# the root of 2/1 is block 1, one coordinate long
 print("submodule:", report.is_submodule, "| size", report.ball_size,
-      "= 5^1 | distinct translates:", report.coset_count,
+      "= 5^1 | its", space.m ** (space.N - 1), "translates partition the space:",
+      report.translates_partition,
       "| perp = complement ball in the dual:", report.perp_equals_dual_ball)
 
 partial = parse_ideal(space, "1/1")

@@ -47,6 +47,7 @@ from .balls import (
     FullCountBallReport,
     full_count_structure,
     i_ball,
+    i_ball_coords,
     i_ball_size,
     i_ball_size_enumerated,
     i_sphere_size,
@@ -54,6 +55,7 @@ from .balls import (
     nonlinearity_witness,
     profile_census,
     r_ball,
+    r_ball_coords,
     r_ball_size,
     r_sphere_size,
     support_census,

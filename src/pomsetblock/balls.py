@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
-from .block_space import BlockSpace, BlockVector, block_max_lee, block_shell_size
+from .block_space import BlockSpace, BlockVector, block_shell_size
 from .errors import NotFullCount, SpaceMismatch
 from .pomset import Ideal, Pomset
 
@@ -31,38 +31,51 @@ def in_i_ball(u: BlockVector, v: BlockVector, ideal: Ideal) -> bool:
     return (u - v).support().is_submset(ideal.counts)
 
 
-def i_ball(center: BlockVector, ideal: Ideal) -> list[BlockVector]:
-    """Explicit I-ball membership list, in odometer order.
+def i_ball_coords(center: BlockVector, ideal: Ideal) -> list[tuple[int, ...]]:
+    """The I-ball around ``center`` as coordinate tuples, in odometer order.
 
     Built block by block: every entry of a difference block must have Lee
     weight at most the ideal's count there, so block i of a member is the
-    center block shifted by each such small block. The per-block sets are
-    found by scanning Z_m^{k_i}; ``in_i_ball`` offers the independent
+    center block shifted by each such small block, read off the space's
+    max-Lee table for Z_m^{k_i}. ``in_i_ball`` offers the independent
     whole-space predicate.
     """
     space = center.space
-    space.check_enumerable()
     m = space.m
     per_block = []
-    for i in range(1, space.n + 1):
+    for i, table in enumerate(space.max_lee_tables(), 1):
         c = ideal.count(i)
         ui = center.block(i)
-        vals = sorted(
+        blocks = product(range(m), repeat=space.pi[i - 1])
+        per_block.append(sorted(
             tuple((a - x) % m for a, x in zip(ui, w))
-            for w in product(range(m), repeat=space.pi[i - 1])
-            if block_max_lee(w, m) <= c
-        )
-        per_block.append(vals)
-    return [
-        BlockVector(space, tuple(x for b in blocks for x in b))
-        for blocks in product(*per_block)
-    ]
+            for w, lee in zip(blocks, table) if lee <= c
+        ))
+    return [sum(blocks, ()) for blocks in product(*per_block)]
+
+
+def r_ball_coords(center: BlockVector, r: int) -> list[tuple[int, ...]]:
+    """The r-ball around ``center`` as coordinate tuples, in odometer order:
+    the zero ball read off :meth:`BlockSpace.weights`, translated by the
+    center (the weight is symmetric, so d(u, v) = w(v - u))."""
+    space = center.space
+    space.check_weight(r, "radius")
+    m = space.m
+    zero_ball = compress(space.coord_tuples(), (w <= r for w in space.weights()))
+    if not any(center.coords):
+        return list(zero_ball)
+    return sorted(tuple((a + b) % m for a, b in zip(center.coords, d))
+                  for d in zero_ball)
+
+
+def i_ball(center: BlockVector, ideal: Ideal) -> list[BlockVector]:
+    """:func:`i_ball_coords` as vectors."""
+    return [BlockVector(center.space, c) for c in i_ball_coords(center, ideal)]
 
 
 def r_ball(center: BlockVector, r: int) -> list[BlockVector]:
-    space = center.space
-    space.check_weight(r, "radius")
-    return [v for v in space.vectors() if (center - v).weight() <= r]
+    """:func:`r_ball_coords` as vectors."""
+    return [BlockVector(center.space, c) for c in r_ball_coords(center, r)]
 
 
 # ----- closed forms ----------------------------------------------------------
@@ -156,15 +169,10 @@ def r_ball_size(space: BlockSpace, r: int) -> int:
 def profile_census(space: BlockSpace) -> Counter:
     """Count vectors by block-support profile via one full-space sweep.
 
-    Every vector of the space is visited exactly once (as a combination of
-    per-block values); the per-block maximum Lee weights are tabulated by
-    scanning each Z_m^{k_i} directly.
+    Every vector of the space is visited exactly once, as a combination of
+    entries of the space's per-block max-Lee tables.
     """
-    space.check_enumerable()
-    m = space.m
-    tables = [[block_max_lee(block, m) for block in product(range(m), repeat=k)]
-              for k in space.pi]
-    return Counter(product(*tables))
+    return Counter(product(*space.max_lee_tables()))
 
 
 def support_census(space: BlockSpace) -> dict[tuple[int, ...], int]:
@@ -197,8 +205,6 @@ class FullCountBallReport:
     expected_ball_size: int
     is_submodule: bool
     coordinate_form: bool
-    coset_count: int
-    expected_coset_count: int
     translates_partition: bool
     perp_equals_dual_ball: bool
 
@@ -208,7 +214,6 @@ class FullCountBallReport:
             self.ball_size == self.expected_ball_size
             and self.is_submodule
             and self.coordinate_form
-            and self.coset_count == self.expected_coset_count
             and self.translates_partition
             and self.perp_equals_dual_ball
         )
@@ -231,41 +236,37 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
     m, N = space.m, space.N
-    members = [v.coords for v in i_ball(space.zero(), ideal)]
-    member_set = set(members)
+    members = i_ball_coords(space.zero(), ideal)
     size = len(members)
     root_len = sum(space.pi[i - 1] for i in ideal.root_set)
     expected_size = m**root_len
 
     # the whole space is trivially closed, and spanning it would double
     # the memory the ball already holds
-    closed = size == space.size() or space.span(members, size) == member_set
+    closed = size == space.size() or space.span(members, size) == set(members)
 
     # extensional identity with the coordinate set supported on root blocks
-    inside = [idx for i in ideal.root_set
-              for idx in range(*space.block_bounds(i))]
-    outside = [idx for idx in range(N) if idx not in set(inside)]
+    inside = {idx for i in ideal.root_set
+              for idx in range(*space.block_bounds(i))}
+    outside = [idx for idx in range(N) if idx not in inside]
     coordinate_form = size == expected_size and all(
         all(v[idx] == 0 for idx in outside) for v in members
     )
 
-    # the vectors vanishing on the root coordinates: the perp of those
-    # coordinates' unit vectors, which span the ball once the coordinate
-    # form holds (so the perp verdict also requires it), and one vector of
-    # each translate of such a ball, so its translates by them must tile
-    perp = {coords for coords in space.coord_tuples()
-            if not any(coords[idx] for idx in inside)}
+    # the vectors vanishing on the root coordinates, in odometer order: the
+    # perp of those coordinates' unit vectors, which span the ball once the
+    # coordinate form holds (so the perp verdict also requires it), and one
+    # vector of each translate of such a ball, so its translates by them
+    # must tile
+    perp = list(product(*[(0,) if idx in inside else range(m) for idx in range(N)]))
     translates_partition = set(space.cover_counts(perp, members)) == {1}
 
-    dual_space = space.dual()
-    dual_ball = {v.coords for v in i_ball(dual_space.zero(), ideal.complement())}
+    dual_ball = i_ball_coords(space.dual().zero(), ideal.complement())
     return FullCountBallReport(
         ball_size=size,
         expected_ball_size=expected_size,
         is_submodule=closed,
         coordinate_form=coordinate_form,
-        coset_count=len(perp),
-        expected_coset_count=m ** (N - root_len),
         translates_partition=translates_partition,
         perp_equals_dual_ball=coordinate_form and perp == dual_ball,
     )

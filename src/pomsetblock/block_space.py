@@ -9,6 +9,7 @@ vector is the cardinality of the ideal generated by that support.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -71,7 +72,8 @@ class BlockSpace:
     resource guard, it takes no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("m", "pomset", "pi", "cap", "_offsets", "_dual")
+    __slots__ = ("m", "pomset", "pi", "cap", "_offsets", "_dual",
+                 "_max_lee_tables", "_weights")
 
     def __init__(self, m: int, pomset: Pomset, pi, cap: int = DEFAULT_CAP):
         if m < 2:
@@ -96,6 +98,8 @@ class BlockSpace:
             offsets.append(offsets[-1] + k)
         self._offsets = tuple(offsets)
         self._dual = None
+        self._max_lee_tables = None
+        self._weights = None
 
     @property
     def n(self) -> int:
@@ -147,6 +151,38 @@ class BlockSpace:
         for coords in self.coord_tuples():
             yield BlockVector(self, coords)
 
+    def max_lee_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Per block, the maximum Lee weight of every block of Z_m^{k_i} in
+        odometer order; built once per block length, on first use."""
+        self.check_enumerable()
+        if self._max_lee_tables is None:
+            m = self.m
+            by_length = {k: tuple(block_max_lee(b, m)
+                                  for b in product(range(m), repeat=k))
+                         for k in set(self.pi)}
+            self._max_lee_tables = tuple(by_length[k] for k in self.pi)
+        return self._max_lee_tables
+
+    def weights(self) -> memoryview:
+        """The block-metric weight of every vector, in odometer order.
+
+        A vector's profile (its blocks' maximum Lee weights) fixes its
+        weight, so the ideal closure runs once per profile, (h + 1)^n
+        times, and each vector costs one table lookup. Built on first use
+        and kept, one byte per vector while the top weight fits in one,
+        read-only.
+        """
+        tables = self.max_lee_tables()
+        if self._weights is None:
+            closure = self.pomset.generated_counts
+            weight_of = {p: sum(closure(p))
+                         for p in product(range(self.max_lee + 1), repeat=self.n)}
+            typecode = "B" if self.n * self.max_lee < 256 else "Q"
+            self._weights = memoryview(
+                array(typecode, map(weight_of.__getitem__, product(*tables)))
+            ).toreadonly()
+        return self._weights
+
     def vector_at(self, index: int) -> BlockVector:
         """The vector at position ``index`` of the odometer order."""
         coords = []
@@ -158,9 +194,12 @@ class BlockSpace:
     def cover_counts(self, centers, ball) -> bytearray:
         """How many translates c + b (c in ``centers``, b in ``ball``, both
         reduced coordinate tuples) hold each vector, capped at 2 and
-        indexed by odometer position: one tally of |centers|*|ball| sums."""
+        indexed by odometer position: one tally of |centers|*|ball| sums.
+        ``ball`` is read once per center, so it is listed first: a one-shot
+        iterator would otherwise serve the first center only."""
         self.check_enumerable()
         m = self.m
+        ball = list(ball)
         counts = bytearray(self.size())
         for c in centers:
             for b in ball:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .balls import r_ball_coords
 from .block_space import BlockSpace, chain_space
 from .codes import Code, dual_code, verify_perfect
 from .errors import (
@@ -55,9 +56,9 @@ def _ceil_log(m: int, size: int) -> int:
 def packing_radius(code: Code) -> int:
     """Greatest r whose r-balls at distinct codewords are pairwise disjoint.
 
-    One scan of the space weighs every vector once; the zero ball of each
-    radius 1, 2, ... is read off those weights and its translates over
-    the code are tallied until two overlap. The balls of radius
+    The zero ball of each radius 1, 2, ... is read off the space's one
+    weight table (:meth:`BlockSpace.weights`) and its translates over the
+    code are tallied until two overlap. The balls of radius
     n*floor(m/2) are the whole space, so that happens by then for two or
     more words. Works for any order, not just chains. A one-word code
     packs the whole space.
@@ -65,11 +66,9 @@ def packing_radius(code: Code) -> int:
     space = code.space
     if len(code) < 2:
         return space.n * space.max_lee
-    weighed = [(v.weight(), v.coords) for v in space.vectors()]
+    zero = space.zero()
     r = 0
-    while 2 not in space.cover_counts(
-        code.coord_set, [b for w, b in weighed if w <= r + 1]
-    ):
+    while 2 not in space.cover_counts(code.coord_set, r_ball_coords(zero, r + 1)):
         r += 1
     return r
 

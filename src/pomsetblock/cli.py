@@ -12,12 +12,12 @@ import sys
 from . import chain as chain_ops
 from .balls import (
     full_count_structure,
-    i_ball,
+    i_ball_coords,
     i_ball_size,
     i_ball_size_enumerated,
     i_sphere_size,
     nonlinearity_witness,
-    r_ball,
+    r_ball_coords,
     r_ball_size,
     support_census,
 )
@@ -70,9 +70,9 @@ def _cmd_ballsize(space, args) -> int:
             # enumeration at an explicit center, as a cross-check path
             center = parse_vector(space, args.center)
             if args.ideal is not None:
-                size = len(i_ball(center, parse_ideal(space, args.ideal)))
+                size = len(i_ball_coords(center, parse_ideal(space, args.ideal)))
             else:
-                size = len(r_ball(center, args.radius))
+                size = len(r_ball_coords(center, args.radius))
         elif args.ideal is not None:
             size = i_ball_size_enumerated(space, parse_ideal(space, args.ideal))
         else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .balls import i_ball, r_ball
+from .balls import i_ball_coords, r_ball_coords
 from .block_space import BlockSpace, BlockVector
 from .errors import (
     DivisibilityFails,
@@ -162,10 +162,10 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
     space = code.space
     zero = space.zero()
     if ideal is not None:
-        ball = {v.coords for v in i_ball(zero, ideal)}
+        ball = set(i_ball_coords(zero, ideal))
         kind, parameter = "ideal", ideal
     else:
-        ball = {v.coords for v in r_ball(zero, radius)}
+        ball = set(r_ball_coords(zero, radius))
         kind, parameter = "radius", radius
     hits = space.cover_counts(code.coord_set, ball)
     crowded, empty = hits.find(2), hits.find(0)

@@ -21,7 +21,6 @@ from helpers import (
     grid_space,
     i_sphere,
     random_code,
-    weight_array,
     wide_space,
 )
 
@@ -60,7 +59,7 @@ def test_02_metric_axioms():
 
     for m, pi, order in GRID:
         space = grid_space(m, pi, order)
-        w = weight_array(m, pi, order)
+        w = space.weights()
         size, N = space.size(), space.N
 
         # identity of indiscernibles: only the zero vector has weight zero

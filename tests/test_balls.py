@@ -20,6 +20,7 @@ from pomsetblock import (
     nonlinearity_witness,
     parse_ideal,
     r_ball,
+    r_ball_coords,
     r_ball_size,
     r_sphere_size,
     support_census,
@@ -32,6 +33,7 @@ from helpers import (
     i_sphere,
     i_sphere_size_enumerated,
     perp_by_dot_scan,
+    r_ball_by_scan,
     r_sphere,
     random_vector,
 )
@@ -223,25 +225,52 @@ def test_closed_forms_match_census_on_random_spaces(config):
         assert r_ball_size(sp, r) == running
 
 
+@st.composite
+def relabelled_spaces(draw):
+    """A random order on at most 3 blocks of length at most 2, relabelled
+    by a random permutation, with m <= 7 and at most 3000 vectors."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 3))
+    pi = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)
+              .filter(lambda pi: m ** sum(pi) <= 3000))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    perm = draw(st.permutations(range(1, n + 1)))
+    return space_with_order(m, pi, [(perm[i - 1], perm[j - 1]) for i, j in chosen])
+
+
+@given(relabelled_spaces(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_weight_table_and_radius_balls_match_the_scan(space, data):
+    assert list(space.weights()) == [v.weight() for v in space.vectors()]
+    word = st.tuples(*[st.integers(0, space.m - 1)] * space.N)
+    for _ in range(3):
+        center = space.vector(data.draw(word))
+        r = data.draw(st.integers(0, space.n * space.max_lee))
+        want = r_ball_by_scan(center, r)
+        assert r_ball(center, r) == want
+        assert r_ball_coords(center, r) == [v.coords for v in want]
+
+
 class TestFullCountStructure:
     def test_small_chain_report(self):
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "2/1"))
         assert report.ok
         assert report.ball_size == 5 == report.expected_ball_size
-        assert report.coset_count == 5
+        assert report.translates_partition
 
     def test_empty_ideal_ball_is_zero_submodule(self):
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "-"))
         assert report.ok and report.ball_size == 1
-        assert report.coset_count == sp.size()
+        assert report.translates_partition
 
     def test_full_ideal_ball_is_whole_space(self):
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "2/1 2/2"))
         assert report.ok and report.ball_size == sp.size()
-        assert report.coset_count == 1
+        assert report.translates_partition
 
     def test_perp_is_complement_ball_in_dual(self):
         sp = small_chain()
@@ -259,19 +288,23 @@ def test_perp_verdict_needs_the_coordinate_form(monkeypatch):
     # on the root coordinates no longer describes its dot-product perp
     sp = small_chain()
     ideal = parse_ideal(sp, "2/1")
-    stray = sp.vector((0, 1))
-    real_i_ball = balls.i_ball
+    stray = (0, 1)
+    real = balls.i_ball_coords
+    forged = []
 
-    def forged_i_ball(center, ideal_):
-        members = real_i_ball(center, ideal_)
-        return members + [stray] if center == sp.zero() else members
+    def forged_i_ball_coords(center, ideal_):
+        members = real(center, ideal_)
+        if center != sp.zero():
+            return members
+        forged.append(center)
+        return members + [stray]
 
-    monkeypatch.setattr(balls, "i_ball", forged_i_ball)
-    members = [v.coords for v in forged_i_ball(sp.zero(), ideal)]
-    dual_ball = {v.coords
-                 for v in real_i_ball(sp.dual().zero(), ideal.complement())}
+    monkeypatch.setattr(balls, "i_ball_coords", forged_i_ball_coords)
+    members = real(sp.zero(), ideal) + [stray]
+    dual_ball = set(real(sp.dual().zero(), ideal.complement()))
     assert perp_by_dot_scan(sp, members) != dual_ball
     report = full_count_structure(sp, ideal)
+    assert forged, "full_count_structure no longer reads the forged builder"
     assert not report.coordinate_form
     assert not report.perp_equals_dual_ball
     # six members translated by five centers cannot tile 25 vectors once

@@ -128,6 +128,39 @@ class TestCoverCounts:
         with pytest.raises(SpaceTooLarge):
             capped.cover_counts([(0, 0)], [(0, 0)])
 
+    def test_a_one_shot_ball_serves_every_center(self):
+        sp = chain_space(5, (1, 1))
+        ball = [(0, 0), (0, 1)]
+        centers = [(0, 0), (1, 0)]
+        listed = sp.cover_counts(centers, ball)
+        assert sp.cover_counts(centers, iter(ball)) == listed
+        assert sp.cover_counts(centers, (b for b in ball)) == listed
+        assert list(listed).count(1) == 4
+
+
+class TestWeightTable:
+    def test_built_once_per_space(self):
+        sp = chain_space(5, (1, 1))
+        assert sp.weights() is sp.weights()
+
+    def test_weights_past_one_byte(self):
+        # the top weight 300 needs more than a byte per entry
+        sp = antichain_space(601, (1,))
+        assert list(sp.weights()) == [lee_weight(x, 601) for x in range(601)]
+
+    def test_read_only(self):
+        sp = chain_space(5, (1, 1))
+        with pytest.raises(TypeError):
+            sp.weights()[0] = 3
+
+    def test_bounded_by_the_cap(self):
+        sp = chain_space(5, (1, 1))
+        capped = BlockSpace(5, sp.pomset, sp.pi, cap=24)
+        with pytest.raises(SpaceTooLarge):
+            capped.weights()
+        with pytest.raises(SpaceTooLarge):
+            capped.max_lee_tables()
+
 
 class TestSupportAndWeight:
     def test_wide_space_block_support(self):

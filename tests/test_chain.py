@@ -9,6 +9,7 @@ from pomsetblock import (
     BlockVector,
     Code,
     NotAChain,
+    Pomset,
     antichain_space,
     block_repetition_code,
     chain_elements,
@@ -77,16 +78,19 @@ class TestPackingRadius:
         assert packing_radius(c) == 4
 
     def test_one_weight_scan_whatever_the_radius(self, monkeypatch):
-        # radius h(n-1) = 10 on 4 words: a weight scan per radius (11) would
-        # cost more than a scan per codeword (4); one scan is the bound
+        # radius h(n-1) = 10 on 4 words: every radius reads the one weight
+        # table, which weighs each block profile once and no vector singly
         sp = chain_space(4, (1,) * 6)
         c = unit_repetition_code(sp)
-        calls = []
-        weight = BlockVector.weight
+        weighed, closures = [], []
+        weight, closure = BlockVector.weight, Pomset.generated_counts
         monkeypatch.setattr(BlockVector, "weight",
-                            lambda v: calls.append(1) or weight(v))
+                            lambda v: weighed.append(1) or weight(v))
+        monkeypatch.setattr(Pomset, "generated_counts",
+                            lambda p, counts: closures.append(1) or closure(p, counts))
         assert packing_radius(c) == 10
-        assert len(calls) == sp.size()
+        assert not weighed
+        assert len(closures) <= (sp.max_lee + 1) ** sp.n
 
     def test_single_word_packs_everything(self):
         sp = small_chain()
