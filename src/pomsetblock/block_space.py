@@ -65,6 +65,16 @@ def block_shell_size(m: int, k: int, r: int) -> int:
     return (2 * r - 1 + lee_shell_size(m, r)) ** k - (2 * r - 1) ** k
 
 
+def _translate_row(x, m: int, scale: int) -> list[int]:
+    """``scale`` times the odometer index of x + y, for every y in
+    Z_m^len(x) in odometer order."""
+    row = [0]
+    for a in x:
+        shifted = [(a + d) % m * scale for d in range(m)]
+        row = [i * m + s for i in row for s in shifted]
+    return row
+
+
 class BlockSpace:
     """The space Z_m^N with blocks of lengths ``pi`` ordered by ``pomset``.
 
@@ -194,20 +204,35 @@ class BlockSpace:
     def cover_counts(self, centers, ball) -> bytearray:
         """How many translates c + b (c in ``centers``, b in ``ball``, both
         reduced coordinate tuples) hold each vector, capped at 2 and
-        indexed by odometer position: one tally of |centers|*|ball| sums.
-        ``ball`` is read once per center, so it is listed first: a one-shot
-        iterator would otherwise serve the first center only."""
+        indexed by odometer position; a member listed twice counts twice.
+
+        Every vector is split at coordinate cut = N // 2 into a head and a
+        tail, meeting in the middle (Horowitz and Sahni, J. ACM 21, 1974).
+        Since c + b = b + c, the longer list is indexed once as (head index,
+        tail index) pairs, and each vector x of the shorter one builds two
+        rows: the index of x's head plus every head, scaled by m^(N - cut),
+        and that of x's tail plus every tail. A pair then costs two lookups
+        and an add: min(|C|, |B|)*(m^floor(N/2) + m^ceil(N/2)) + |C|*|B| +
+        m^N work. Both lists are read once, so one-shot iterators serve.
+        """
         self.check_enumerable()
-        m = self.m
-        ball = list(ball)
+        m, N = self.m, self.N
+        cut = N // 2
+        outer, inner = sorted((list(centers), list(ball)), key=len)
+        head_at = {h: i for i, h in enumerate(product(range(m), repeat=cut))}
+        tail_at = {t: i for i, t in enumerate(product(range(m), repeat=N - cut))}
+        head_idx = [head_at[b[:cut]] for b in inner]
+        tail_idx = [tail_at[b[cut:]] for b in inner]
+        scale = m ** (N - cut)
         counts = bytearray(self.size())
-        for c in centers:
-            for b in ball:
-                idx = 0
-                for x, y in zip(c, b):
-                    idx = idx * m + (x + y) % m
-                if counts[idx] < 2:
-                    counts[idx] += 1
+        for x in outer:
+            heads = _translate_row(x[:cut], m, scale)
+            tails = _translate_row(x[cut:], m, 1)
+            for h, t in zip(head_idx, tail_idx):
+                idx = heads[h] + tails[t]
+                c = counts[idx]
+                if c < 2:
+                    counts[idx] = c + 1
         return counts
 
     def span(self, rows, limit: int) -> set[tuple[int, ...]]:

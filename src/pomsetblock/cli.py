@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.set_defaults(handler=_cmd_mds)
 
-    p = sub.add_parser("dual", help="dual code by exhaustive scan")
+    p = sub.add_parser("dual", help="dual code, meeting in the middle")
     p.add_argument("space")
     p.add_argument("code")
     p.set_defaults(handler=_cmd_dual)

@@ -229,16 +229,35 @@ def construct_perfect_partial(space: BlockSpace, ideal: Ideal) -> Code:
 
 def dual_code(code: Code) -> Code:
     """All vectors orthogonal (dot product mod m over flat coordinates)
-    to every codeword, found by a full scan."""
+    to every codeword, met in the middle.
+
+    Orthogonality to the code is orthogonality to a generating set G,
+    kept greedily: each codeword outside the span of those kept before
+    it. Every vector is split at coordinate cut = N // 2; the tails of
+    Z_m^(N - cut) are grouped by their dot products with G, and each head
+    takes the tails whose products cancel its own: (m^floor(N/2) +
+    m^ceil(N/2))*|G|*N + |C-perp| work, not m^N*|C|.
+    """
     if not code.linear:
         raise NotLinear("dual of a non-linear code is not defined here")
     space = code.space
-    m = space.m
-    words = [w.coords for w in code]
+    space.check_enumerable()
+    m, N = space.m, space.N
+    cut = N // 2
+    gens = []
+    spanned = {(0,) * N}
+    for w in code:
+        if w.coords not in spanned:
+            gens.append(w.coords)
+            spanned = space.span(gens, len(code))
+    tails_by_key = {}
+    for t in product(range(m), repeat=N - cut):
+        key = tuple(sum(x * y for x, y in zip(t, g[cut:])) % m for g in gens)
+        tails_by_key.setdefault(key, []).append(t)
     perp = []
-    for coords in space.coord_tuples():
-        if all(sum(x * y for x, y in zip(coords, w)) % m == 0 for w in words):
-            perp.append(coords)
+    for h in product(range(m), repeat=cut):
+        key = tuple(-sum(x * y for x, y in zip(h, g)) % m for g in gens)
+        perp.extend(h + t for t in tails_by_key.get(key, ()))
     return Code(space, perp)
 
 

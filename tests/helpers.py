@@ -159,13 +159,31 @@ def sphere_by_maximal_count(space: pb.BlockSpace, r: int) -> int:
 
 
 def perp_by_dot_scan(space: pb.BlockSpace, words) -> set[tuple[int, ...]]:
-    """Oracle for the perp in ``full_count_structure``: every vector whose
-    dot product with each of ``words`` vanishes mod m."""
+    """Oracle for ``dual_code`` and the perp in ``full_count_structure``:
+    every vector whose dot product with each of ``words`` vanishes mod m."""
     m = space.m
     return {
         coords for coords in space.coord_tuples()
         if all(sum(x * y for x, y in zip(coords, w)) % m == 0 for w in words)
     }
+
+
+def cover_counts_by_pair_sums(space: pb.BlockSpace, centers, ball) -> bytearray:
+    """Oracle for ``BlockSpace.cover_counts``: every center against every
+    member, the odometer index of c + b summed coordinate by coordinate,
+    each hit counted up to 2."""
+    space.check_enumerable()
+    m = space.m
+    ball = list(ball)
+    counts = bytearray(space.size())
+    for c in centers:
+        for b in ball:
+            idx = 0
+            for x, y in zip(c, b):
+                idx = idx * m + (x + y) % m
+            if counts[idx] < 2:
+                counts[idx] += 1
+    return counts
 
 
 def perfect_by_pair_scan(code: pb.Code, ideal: pb.Ideal | None = None,

@@ -22,7 +22,7 @@ from pomsetblock import (
     space_with_order,
 )
 
-from helpers import wide_space
+from helpers import cover_counts_by_pair_sums, wide_space
 
 
 class TestLeeWeight:
@@ -136,6 +136,45 @@ class TestCoverCounts:
         assert sp.cover_counts(centers, iter(ball)) == listed
         assert sp.cover_counts(centers, (b for b in ball)) == listed
         assert list(listed).count(1) == 4
+
+
+@st.composite
+def tally_cases(draw):
+    """Z_m^N with 2 <= m <= 7 and 1 <= N <= 5 (so odd N, and N = 1 with
+    an empty head half), and two lists of at most 12 vectors each, either
+    possibly empty or the longer one, and either repeating members."""
+    m = draw(st.integers(2, 7))
+    n_coords = draw(st.integers(1, 5))
+    pi = (n_coords,) if draw(st.booleans()) else (1,) * n_coords
+    space = chain_space(m, pi)
+    vector = st.tuples(*[st.integers(0, m - 1)] * n_coords)
+
+    def listing():
+        words = draw(st.lists(vector, max_size=8))
+        if words:
+            words += draw(st.lists(st.sampled_from(words), max_size=4))
+        return draw(st.permutations(words))
+
+    return space, listing(), listing()
+
+
+@given(tally_cases())
+@settings(max_examples=300, deadline=None)
+def test_cover_counts_matches_the_pair_sums(case):
+    space, centers, ball = case
+    assert space.cover_counts(centers, ball) == cover_counts_by_pair_sums(
+        space, centers, ball)
+
+
+def test_cover_counts_either_list_longer_repeated_or_empty():
+    sp = chain_space(3, (1, 1, 1))
+    few = [(0, 1, 2), (0, 1, 2)]
+    many = [(0, 0, 0), (1, 2, 0), (1, 2, 0), (2, 2, 2), (0, 1, 1)]
+    for centers, ball in [(few, many), (many, few), (few, []), ([], many)]:
+        assert sp.cover_counts(centers, ball) == cover_counts_by_pair_sums(
+            sp, centers, ball)
+        assert sp.cover_counts(centers, ball) == sp.cover_counts(ball, centers)
+    assert not any(sp.cover_counts([], many))
 
 
 class TestWeightTable:

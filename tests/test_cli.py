@@ -177,6 +177,13 @@ class TestMdsDualPackradDuality:
         reparsed = parse_code(sp, out)
         assert reparsed == dual_code(parse_code(sp, axis.read_text()))
 
+    def test_dual_past_the_cap_is_invalid_input(self, capsys, small, tmp_path):
+        diag = tmp_path / "diag.code"
+        diag.write_text("linear\n1 1\n")
+        code, out, err = run(capsys, "--cap", "24", "dual", small, str(diag))
+        assert code == 2 and out == ""
+        assert err == "pomsetblock: space has 25 vectors, above the cap 24\n"
+
     def test_packrad(self, capsys, small, tmp_path):
         diag = tmp_path / "diag.code"
         diag.write_text("linear\n1 1\n")

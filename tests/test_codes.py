@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pomsetblock import (
+    BlockSpace,
     Code,
     DivisibilityFails,
     NotFullCount,
     NotLinear,
     SingletonCode,
+    SpaceTooLarge,
     antichain_space,
     chain_space,
     construct_perfect_full,
@@ -29,6 +31,7 @@ from helpers import (
     grid_space,
     packing_radius_by_pair_scan,
     perfect_by_pair_scan,
+    perp_by_dot_scan,
     random_code,
 )
 
@@ -288,6 +291,22 @@ class TestDuals:
         with pytest.raises(NotLinear):
             dual_code(Code(sp, [(1, 1), (2, 2)]))
 
+    def test_generating_set_need_not_be_minimal(self):
+        # over Z_4 the first sorted word (0, 2) is twice (2, 1), which the
+        # greedy pass keeps too
+        sp = chain_space(4, (1, 1))
+        code = Code.from_generators(sp, [(2, 1)])
+        assert [w.coords for w in code][:2] == [(0, 0), (0, 2)]
+        assert {w.coords for w in dual_code(code)} == {
+            (0, 0), (1, 2), (2, 0), (3, 2)}
+
+    def test_bounded_by_the_cap(self):
+        sp = small_chain()
+        capped = BlockSpace(5, sp.pomset, sp.pi, cap=24)
+        diagonal = Code.from_generators(capped, [(1, 1)])
+        with pytest.raises(SpaceTooLarge, match="above the cap 24"):
+            dual_code(diagonal)
+
     def test_perp_duality_true_and_false_instances(self):
         sp = small_chain()
         ideal = parse_ideal(sp, "2/1")
@@ -308,6 +327,40 @@ class TestDuals:
                 sp, [tuple(rng.randrange(5) for _ in range(2))]
             )
             assert perp_duality_report(c, ideal).holds
+
+
+@st.composite
+def linear_codes_over_composite_moduli(draw):
+    """A code spanned by random rows over Z_m^N, m in {4, 6, 8} and at
+    most 512 vectors, with redundant rows (combinations of earlier ones)
+    and zero-divisor multiples mixed in, so the generating set kept from
+    the sorted codewords need not be minimal."""
+    m = draw(st.sampled_from([4, 6, 8]))
+    n_coords = draw(st.integers(1, {4: 4, 6: 3, 8: 3}[m]))
+    space = chain_space(m, (1,) * n_coords)
+    row = st.tuples(*[st.integers(0, m - 1)] * n_coords)
+    rows = draw(st.lists(row, max_size=3))
+    scalars = st.integers(0, m - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        cs = [draw(scalars) for _ in picked]
+        rows.append(tuple(sum(c * r[j] for c, r in zip(cs, picked)) % m
+                          for j in range(n_coords)))
+    divisors = [d for d in range(2, m) if m % d == 0]
+    for r in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []:
+        d = draw(st.sampled_from(divisors))
+        rows.append(tuple(d * x % m for x in r))
+    return Code.from_generators(space, draw(st.permutations(rows)))
+
+
+@given(linear_codes_over_composite_moduli())
+@settings(max_examples=150, deadline=None)
+def test_dual_matches_the_dot_scan(code):
+    dual = dual_code(code)
+    assert {w.coords for w in dual} == perp_by_dot_scan(code.space, code.coord_set)
+    assert len(code) * len(dual) == code.space.size()
 
 
 def test_random_codes_never_break_certificates():
