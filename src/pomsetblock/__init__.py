@@ -51,7 +51,6 @@ from .balls import (
     i_ball_size,
     i_ball_size_enumerated,
     i_sphere_size,
-    in_i_ball,
     nonlinearity_witness,
     profile_census,
     r_ball,
@@ -66,7 +65,6 @@ from .weight_dist import (
     chain_shell_size,
     weight_distribution,
     weight_distribution_enumerated,
-    weight_shell_size,
 )
 from .codes import (
     Code,

@@ -1,9 +1,10 @@
-"""Balls and spheres of the block metric: membership, enumeration, counting.
+"""Balls and spheres of the block metric: enumeration and counting.
 
 For an ideal I, the I-ball around u holds every v whose difference support
 fits inside I pointwise; the I-sphere holds those whose difference support
-generates exactly I. Closed-form cardinalities are provided alongside
-enumeration-based counterparts so each can falsify the other.
+generates exactly I. Balls are built as coordinate tuples; closed-form
+cardinalities are provided alongside enumeration-based counterparts so each
+can falsify the other.
 """
 
 from __future__ import annotations
@@ -13,45 +14,27 @@ from dataclasses import dataclass
 from itertools import compress, product
 
 from .block_space import BlockSpace, BlockVector, block_shell_size
-from .errors import NotFullCount, SpaceMismatch
+from .errors import NotFullCount
 from .pomset import Ideal, Pomset
-
-def _check_center(u: BlockVector, v: BlockVector) -> None:
-    if u.space != v.space:
-        raise SpaceMismatch("center and candidate live in different spaces")
-
-
-def in_i_ball(u: BlockVector, v: BlockVector, ideal: Ideal) -> bool:
-    """True iff the support of u - v fits in ``ideal`` pointwise.
-
-    Because I is down-closed this is equivalent to the generated ideal of
-    the support being contained in I.
-    """
-    _check_center(u, v)
-    return (u - v).support().is_submset(ideal.counts)
 
 
 def i_ball_coords(center: BlockVector, ideal: Ideal) -> list[tuple[int, ...]]:
     """The I-ball around ``center`` as coordinate tuples, in odometer order.
 
-    Built block by block: every entry of a difference block must have Lee
-    weight at most the ideal's count there, so block i of a member is the
-    center block shifted by each such small block, read off the space's
-    max-Lee table for Z_m^{k_i}. ``in_i_ball`` offers the independent
-    whole-space predicate.
+    A block's maximum Lee weight is at most the ideal's count c there
+    exactly when each of its entries' is, so the ball is a product over
+    the flat coordinates: each takes the residues within Lee distance c of
+    the center's entry.
     """
     space = center.space
+    space.check_enumerable()
     m = space.m
-    per_block = []
-    for i, table in enumerate(space.max_lee_tables(), 1):
+    per_coord = []
+    for i in range(1, space.n + 1):
         c = ideal.count(i)
-        ui = center.block(i)
-        blocks = product(range(m), repeat=space.pi[i - 1])
-        per_block.append(sorted(
-            tuple((a - x) % m for a, x in zip(ui, w))
-            for w, lee in zip(blocks, table) if lee <= c
-        ))
-    return [sum(blocks, ()) for blocks in product(*per_block)]
+        per_coord += [sorted({(a + d) % m for d in range(-c, c + 1)})
+                      for a in center.block(i)]
+    return list(product(*per_coord))
 
 
 def r_ball_coords(center: BlockVector, r: int) -> list[tuple[int, ...]]:
@@ -146,21 +129,21 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
     return tuple(enumerator)
 
 
-def _shells_upto(space: BlockSpace, r: int, noun: str) -> tuple[int, ...]:
-    """The weight enumerator's shells 0..r, once r is checked to be one of
-    its degrees; ``noun`` names r in the error."""
-    space.check_weight(r, noun)
+def _shells_upto(space: BlockSpace, r: int) -> tuple[int, ...]:
+    """The weight enumerator's shells 0..r, once r is checked to be a
+    radius some vector reaches."""
+    space.check_weight(r, "radius")
     return weight_enumerator(space)[: r + 1]
 
 
 def r_sphere_size(space: BlockSpace, r: int) -> int:
     """Closed-form |r-sphere|: coefficient r of the weight enumerator."""
-    return _shells_upto(space, r, "radius")[r]
+    return _shells_upto(space, r)[r]
 
 
 def r_ball_size(space: BlockSpace, r: int) -> int:
     """Closed-form |r-ball|: the weight enumerator's shells up to r."""
-    return sum(_shells_upto(space, r, "radius"))
+    return sum(_shells_upto(space, r))
 
 
 # ----- enumeration-based counting --------------------------------------------
@@ -245,13 +228,12 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
     # the memory the ball already holds
     closed = size == space.size() or space.span(members, size) == set(members)
 
-    # extensional identity with the coordinate set supported on root blocks
+    # extensional identity with the vectors vanishing off the root blocks,
+    # in odometer order; list equality implies the size
     inside = {idx for i in ideal.root_set
               for idx in range(*space.block_bounds(i))}
-    outside = [idx for idx in range(N) if idx not in inside]
-    coordinate_form = size == expected_size and all(
-        all(v[idx] == 0 for idx in outside) for v in members
-    )
+    coordinate_form = members == list(
+        product(*[range(m) if idx in inside else (0,) for idx in range(N)]))
 
     # the vectors vanishing on the root coordinates, in odometer order: the
     # perp of those coordinates' unit vectors, which span the ball once the
@@ -290,8 +272,8 @@ def nonlinearity_witness(space: BlockSpace, ideal: Ideal) -> tuple[BlockVector, 
     u = space.vector(tuple(coords))
     coords[lo] = 1
     v = space.vector(tuple(coords))
-    zero = space.zero()
-    if not (in_i_ball(zero, u, ideal) and in_i_ball(zero, v, ideal)
-            and not in_i_ball(zero, u + v, ideal)):
+    counts = ideal.counts
+    if not (u.support() <= counts and v.support() <= counts
+            and not (u + v).support() <= counts):
         raise AssertionError(f"no nonlinearity witness at block {i} for {ideal!r}")
     return u, v

@@ -88,6 +88,8 @@ class BlockSpace:
     def __init__(self, m: int, pomset: Pomset, pi, cap: int = DEFAULT_CAP):
         if m < 2:
             raise ValueError("modulus must be at least 2")
+        if cap < 0:
+            raise ValueError(f"cap must be non-negative, got {cap}")
         pi = tuple(int(k) for k in pi)
         if any(k < 1 for k in pi):
             raise ValueError("block lengths must be positive")

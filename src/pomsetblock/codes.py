@@ -19,13 +19,15 @@ from .pomset import Ideal
 
 
 class Code:
-    """A nonempty deduplicated set of vectors from one block space.
+    """A nonempty deduplicated set of vectors from one block space, kept as
+    ``words``: the sorted reduced coordinate tuples. Iterating yields them
+    as vectors.
 
     ``linear`` is a verified property (the code equals its own span),
     computed on first use, never a trust flag.
     """
 
-    __slots__ = ("space", "codewords", "_coord_set", "_linear")
+    __slots__ = ("space", "words", "_coord_set", "_linear")
 
     def __init__(self, space: BlockSpace, codewords):
         coords = set()
@@ -39,7 +41,7 @@ class Code:
         if not coords:
             raise ValueError("a code must contain at least one word")
         self.space = space
-        self.codewords = tuple(BlockVector(space, c) for c in sorted(coords))
+        self.words = tuple(sorted(coords))
         self._coord_set = frozenset(coords)
         self._linear = None
 
@@ -72,13 +74,13 @@ class Code:
         return self._linear
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self.words)
 
     def __iter__(self):
-        return iter(self.codewords)
+        return (BlockVector(self.space, w) for w in self.words)
 
     def __contains__(self, v) -> bool:
-        coords = v.coords if isinstance(v, BlockVector) else tuple(v)
+        coords = v.coords if isinstance(v, BlockVector) else self.space.vector(v).coords
         return coords in self._coord_set
 
     def __eq__(self, other) -> bool:
@@ -104,7 +106,7 @@ class Code:
         "poset" (order-ideal size of the nonzero block positions). Linear
         codes use the minimum nonzero weight.
         """
-        if len(self.codewords) < 2:
+        if len(self.words) < 2:
             raise SingletonCode("minimum distance needs two codewords")
         if metric == "pomset":
             weigh = BlockVector.weight
@@ -112,17 +114,17 @@ class Code:
             weigh = BlockVector.poset_weight
         else:
             raise ValueError(f"unknown metric {metric!r}")
+        vectors = list(self)
         if self.linear:
-            return min(weigh(w) for w in self.codewords if not w.is_zero)
-        words = self.codewords
+            return min(weigh(w) for w in vectors if not w.is_zero)
         return min(
-            weigh(words[i] - words[j])
-            for i in range(len(words))
-            for j in range(i + 1, len(words))
+            weigh(vectors[i] - vectors[j])
+            for i in range(len(vectors))
+            for j in range(i + 1, len(vectors))
         )
 
     def __repr__(self) -> str:
-        return f"Code(|C|={len(self.codewords)}, space={self.space!r})"
+        return f"Code(|C|={len(self.words)}, space={self.space!r})"
 
 
 @dataclass(frozen=True)
@@ -246,9 +248,9 @@ def dual_code(code: Code) -> Code:
     cut = N // 2
     gens = []
     spanned = {(0,) * N}
-    for w in code:
-        if w.coords not in spanned:
-            gens.append(w.coords)
+    for w in code.words:
+        if w not in spanned:
+            gens.append(w)
             spanned = space.span(gens, len(code))
     tails_by_key = {}
     for t in product(range(m), repeat=N - cut):

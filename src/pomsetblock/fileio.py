@@ -128,7 +128,7 @@ def parse_code(space: BlockSpace, text: str) -> Code:
 
 def format_code(code: Code) -> str:
     lines = ["explicit"]
-    lines.extend(w.literal() for w in code)
+    lines.extend(" ".join(map(str, w)) for w in code.words)
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,9 @@
 """Weight distributions: full-space shells, by the closed form and by a scan.
 
-``weight_shell_size`` counts vectors of a given block-metric weight and
-``weight_distribution`` gives every shell at once, both read off the one
-``balls.weight_enumerator``; ``chain_shell_size`` is the chain-order
-closed form. The residue and block shells (``lee_shell_size``,
+``weight_distribution`` gives every shell at once, read off the one
+``balls.weight_enumerator``, whose single shell r is
+``balls.r_sphere_size``; ``chain_shell_size`` is the chain-order closed
+form. The residue and block shells (``lee_shell_size``,
 ``block_shell_size``) sit in :mod:`block_space` beside ``lee_weight``. Each
 closed form has an enumeration-based twin.
 """
@@ -15,7 +15,7 @@ from itertools import product
 
 from .block_space import BlockSpace, block_max_lee, block_shell_size
 from .errors import NotAChain
-from .balls import _shells_upto, profile_census, weight_enumerator
+from .balls import profile_census, weight_enumerator
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
@@ -26,12 +26,6 @@ def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
         raise ValueError(f"weight {r} outside 0..{m // 2}")
     return sum(1 for block in product(range(m), repeat=k)
                if block_max_lee(block, m) == r)
-
-
-def weight_shell_size(space: BlockSpace, r: int) -> int:
-    """Closed-form count of vectors of block-metric weight exactly r:
-    coefficient r of the weight enumerator."""
-    return _shells_upto(space, r, "weight")[r]
 
 
 @dataclass(frozen=True)

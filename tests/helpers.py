@@ -73,6 +73,13 @@ def cached_support_census(m: int, pi: tuple[int, ...], order: str):
     return pb.support_census(grid_space(m, pi, order))
 
 
+def in_i_ball(u: pb.BlockVector, v: pb.BlockVector, ideal: pb.Ideal) -> bool:
+    """Oracle for ``i_ball_coords``: true iff the support of u - v fits in
+    ``ideal`` pointwise. Because I is down-closed this is equivalent to the
+    generated ideal of the support being contained in I."""
+    return (u - v).support().is_submset(ideal.counts)
+
+
 def i_sphere(center: pb.BlockVector, ideal: pb.Ideal) -> list[pb.BlockVector]:
     """Oracle for ``i_sphere_size``: the vectors whose difference support
     generates exactly ``ideal``, by a whole-space scan."""
@@ -193,7 +200,7 @@ def perfect_by_pair_scan(code: pb.Code, ideal: pb.Ideal | None = None,
     in two balls (with those two codewords) and the first in none."""
     space = code.space
     if ideal is not None:
-        member = lambda c, v: pb.in_i_ball(c, v, ideal)
+        member = lambda c, v: in_i_ball(c, v, ideal)
         kind, parameter = "ideal", ideal
     else:
         space.check_weight(radius, "radius")

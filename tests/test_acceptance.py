@@ -20,6 +20,7 @@ from helpers import (
     five_pomset,
     grid_space,
     i_sphere,
+    in_i_ball,
     random_code,
     wide_space,
 )
@@ -430,9 +431,9 @@ def test_11_partial_ball_nonlinearity():
                 continue
             u, v = pb.nonlinearity_witness(space, ideal)
             ok = (
-                pb.in_i_ball(zero, u, ideal)
-                and pb.in_i_ball(zero, v, ideal)
-                and not pb.in_i_ball(zero, u + v, ideal)
+                in_i_ball(zero, u, ideal)
+                and in_i_ball(zero, v, ideal)
+                and not in_i_ball(zero, u + v, ideal)
             )
             if not ok:
                 failures.append((m, pi, order, ideal.counts.literal()))

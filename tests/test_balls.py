@@ -13,10 +13,10 @@ from pomsetblock import (
     chain_space,
     full_count_structure,
     i_ball,
+    i_ball_coords,
     i_ball_size,
     i_ball_size_enumerated,
     i_sphere_size,
-    in_i_ball,
     nonlinearity_witness,
     parse_ideal,
     r_ball,
@@ -32,6 +32,7 @@ from helpers import (
     grid_space,
     i_sphere,
     i_sphere_size_enumerated,
+    in_i_ball,
     perp_by_dot_scan,
     r_ball_by_scan,
     r_sphere,
@@ -250,6 +251,9 @@ def test_weight_table_and_radius_balls_match_the_scan(space, data):
         want = r_ball_by_scan(center, r)
         assert r_ball(center, r) == want
         assert r_ball_coords(center, r) == [v.coords for v in want]
+        ideal = data.draw(st.sampled_from(space.pomset.ideals()))
+        assert i_ball_coords(center, ideal) == [
+            v.coords for v in space.vectors() if in_i_ball(center, v, ideal)]
 
 
 class TestFullCountStructure:
@@ -284,32 +288,34 @@ class TestFullCountStructure:
 
 
 def test_perp_verdict_needs_the_coordinate_form(monkeypatch):
-    # a hand-made ball with one stray vector off the root block: vanishing
-    # on the root coordinates no longer describes its dot-product perp
+    # hand-made balls off the coordinate form: one with a stray vector off
+    # the root block, whose dot-product perp no longer is the vectors
+    # vanishing on the root coordinates, and one a member short
     sp = small_chain()
     ideal = parse_ideal(sp, "2/1")
-    stray = (0, 1)
     real = balls.i_ball_coords
-    forged = []
-
-    def forged_i_ball_coords(center, ideal_):
-        members = real(center, ideal_)
-        if center != sp.zero():
-            return members
-        forged.append(center)
-        return members + [stray]
-
-    monkeypatch.setattr(balls, "i_ball_coords", forged_i_ball_coords)
-    members = real(sp.zero(), ideal) + [stray]
+    members = real(sp.zero(), ideal)
+    stray = (0, 1)
     dual_ball = set(real(sp.dual().zero(), ideal.complement()))
-    assert perp_by_dot_scan(sp, members) != dual_ball
-    report = full_count_structure(sp, ideal)
-    assert forged, "full_count_structure no longer reads the forged builder"
-    assert not report.coordinate_form
-    assert not report.perp_equals_dual_ball
-    # six members translated by five centers cannot tile 25 vectors once
-    assert not report.translates_partition
-    assert not report.ok
+    assert perp_by_dot_scan(sp, members + [stray]) != dual_ball
+    for forged_members in (members + [stray], members[:-1]):
+        forged = []
+
+        def forged_i_ball_coords(center, ideal_):
+            if center != sp.zero():
+                return real(center, ideal_)
+            forged.append(center)
+            return forged_members
+
+        monkeypatch.setattr(balls, "i_ball_coords", forged_i_ball_coords)
+        report = full_count_structure(sp, ideal)
+        assert forged, "full_count_structure no longer reads the forged builder"
+        assert not report.coordinate_form
+        assert not report.perp_equals_dual_ball
+        # six or four members translated by five centers cannot tile 25
+        # vectors once
+        assert not report.translates_partition
+        assert not report.ok
 
 
 # grid spaces small enough for the |space| x |ball| dot-product scan
@@ -369,8 +375,8 @@ class TestPartialBallNonlinearity:
     def test_forged_membership_fails_under_optimisation(self):
         # the verification must not be an assert, which python -O strips
         script = (
-            "from pomsetblock import antichain_space, balls, parse_ideal\n"
-            "balls.in_i_ball = lambda u, v, ideal: False\n"
+            "from pomsetblock import Multiset, antichain_space, balls, parse_ideal\n"
+            "Multiset.__le__ = lambda self, other: False\n"
             "sp = antichain_space(9, (1,))\n"
             "balls.nonlinearity_witness(sp, parse_ideal(sp, '1/1'))\n"
         )

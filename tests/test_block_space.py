@@ -75,6 +75,14 @@ class TestConstruction:
             list(BlockSpace(5, sp.pomset, sp.pi, cap=24).vectors())
         assert len(list(BlockSpace(5, sp.pomset, sp.pi, cap=25).vectors())) == 25
 
+    def test_negative_cap_rejected(self):
+        sp = chain_space(5, (1, 1))
+        with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+            BlockSpace(5, sp.pomset, sp.pi, cap=-1)
+        # cap 0 stays valid: it allows no scan at all
+        with pytest.raises(SpaceTooLarge):
+            list(BlockSpace(5, sp.pomset, sp.pi, cap=0).vectors())
+
     def test_dual_keeps_the_cap(self):
         sp = chain_space(5, (1, 1))
         capped = BlockSpace(5, sp.pomset, sp.pi, cap=24)

@@ -272,6 +272,17 @@ def test_cap_set_on_the_space_bounds_every_path(capsys, small, tmp_path, path):
     assert run(capsys, "--cap", "25", *argv) == free
 
 
+@pytest.mark.parametrize("argv", [
+    ["wdist", "{space}"],
+    ["ballsize", "{space}", "--radius", "2", "--enumerate"],
+])
+def test_negative_cap_is_invalid_input(capsys, small, argv):
+    argv = [a.format(space=small) for a in argv]
+    code, out, err = run(capsys, "--cap", "-5", *argv)
+    assert (code, out) == (2, "")
+    assert err == "pomsetblock: cap must be non-negative, got -5\n"
+
+
 def test_byte_determinism(capsys, small):
     outs = set()
     for _ in range(2):

@@ -46,6 +46,15 @@ class TestCode:
         c = Code(sp, [(1, 1), (0, 0), (1, 1)])
         assert [w.coords for w in c] == [(0, 0), (1, 1)]
 
+    def test_membership_reduces_residues(self):
+        # construction reduces each word, so membership must too
+        sp = small_chain()
+        code = Code(sp, [(5, 0)])
+        assert code.words == ((0, 0),)
+        assert (5, 0) in code and (-5, 10) in code and (0, 0) in code
+        assert sp.vector((5, 0)) in code
+        assert (1, 0) not in code
+
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             Code(small_chain(), [])
