@@ -7,8 +7,10 @@ that fits inside it.
 
 from pomsetblock import (
     chain_space,
+    construct_perfect_full,
     full_count_structure,
     i_ball,
+    i_ball_coords,
     i_ball_size,
     i_sphere_size,
     nonlinearity_witness,
@@ -17,6 +19,7 @@ from pomsetblock import (
     r_ball_size,
     r_sphere_size,
     support_census,
+    verify_perfect,
 )
 
 space = chain_space(5, (1, 1))
@@ -39,10 +42,14 @@ print("\nthe ball of the full-count ideal 2/1:",
       sorted(v.coords for v in i_ball(space.zero(), ideal)))
 report = full_count_structure(space, ideal)
 # the root of 2/1 is block 1, one coordinate long
-print("submodule:", report.is_submodule, "| size", report.ball_size,
-      "= 5^1 | its", space.m ** (space.N - 1), "translates partition the space:",
-      report.translates_partition,
+print("vectors vanishing off the root:", report.coordinate_form,
+      "| size", report.ball_size, "= 5^1",
       "| perp = complement ball in the dual:", report.perp_equals_dual_ball)
+# closure and tiling follow from the coordinate form; their owners show them
+ball = i_ball_coords(space.zero(), ideal)
+print("closed under addition:", space.span(ball, len(ball)) == set(ball),
+      "| its translates by the zero-section code tile the space:",
+      verify_perfect(construct_perfect_full(space, ideal), ideal=ideal).is_perfect)
 
 partial = parse_ideal(space, "1/1")
 print("\npartial-count ideal 1/1: ball size", i_ball_size(space, partial))

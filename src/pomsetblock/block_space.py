@@ -138,6 +138,17 @@ class BlockSpace:
     def vector(self, coords) -> BlockVector:
         return BlockVector(self, tuple(coords))
 
+    def _reduce(self, coords) -> tuple[int, ...]:
+        """``coords`` checked for length N and reduced mod m: the coordinates
+        of ``self.vector(coords)``, without the vector."""
+        coords = tuple(coords)
+        if len(coords) != self.N:
+            raise DimensionMismatch(
+                f"expected {self.N} coordinates, got {len(coords)}"
+            )
+        # residues are reduced, not rejected
+        return tuple(int(x) % self.m for x in coords)
+
     def zero(self) -> BlockVector:
         return BlockVector(self, (0,) * self.N)
 
@@ -300,14 +311,7 @@ class BlockVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coords) != self.space.N:
-            raise DimensionMismatch(
-                f"expected {self.space.N} coordinates, got {len(self.coords)}"
-            )
-        # residues are reduced, not rejected
-        object.__setattr__(
-            self, "coords", tuple(int(x) % self.space.m for x in self.coords)
-        )
+        object.__setattr__(self, "coords", self.space._reduce(self.coords))
 
     def block(self, i: int) -> tuple[int, ...]:
         lo, hi = self.space.block_bounds(i)

@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration guard, in vectors (default 10^7)")
+                        help="work guard (default 10^7): bounds vectors scanned, "
+                             "code words built, codeword pairs weighed and "
+                             "weight-enumerator coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weight", help="block-metric weight of a vector")

@@ -37,7 +37,7 @@ class Code:
                     raise SpaceMismatch("codeword from a different space")
                 coords.add(w.coords)
             else:
-                coords.add(space.vector(w).coords)
+                coords.add(space._reduce(w))
         if not coords:
             raise ValueError("a code must contain at least one word")
         self.space = space
@@ -51,10 +51,8 @@ class Code:
 
         Raises ``SpaceTooLarge`` as soon as the span passes the space's cap.
         """
-        gens = [
-            space.vector(r.coords if isinstance(r, BlockVector) else r).coords
-            for r in rows
-        ]
+        gens = [space._reduce(r.coords if isinstance(r, BlockVector) else r)
+                for r in rows]
         words = space.span(gens, space.cap)
         if len(words) > space.cap:
             raise SpaceTooLarge(
@@ -80,7 +78,7 @@ class Code:
         return (BlockVector(self.space, w) for w in self.words)
 
     def __contains__(self, v) -> bool:
-        coords = v.coords if isinstance(v, BlockVector) else self.space.vector(v).coords
+        coords = v.coords if isinstance(v, BlockVector) else self.space._reduce(v)
         return coords in self._coord_set
 
     def __eq__(self, other) -> bool:
@@ -104,7 +102,8 @@ class Code:
 
         ``metric`` is "pomset" (block-support weight of the difference) or
         "poset" (order-ideal size of the nonzero block positions). Linear
-        codes use the minimum nonzero weight.
+        codes use the minimum nonzero weight; other codes weigh every pair,
+        and more than the space's cap of pairs raises ``SpaceTooLarge``.
         """
         if len(self.words) < 2:
             raise SingletonCode("minimum distance needs two codewords")
@@ -117,6 +116,10 @@ class Code:
         vectors = list(self)
         if self.linear:
             return min(weigh(w) for w in vectors if not w.is_zero)
+        pairs = len(vectors) * (len(vectors) - 1) // 2
+        if pairs > self.space.cap:
+            raise SpaceTooLarge(
+                f"{pairs} codeword pairs to weigh, above the cap {self.space.cap}")
         return min(
             weigh(vectors[i] - vectors[j])
             for i in range(len(vectors))

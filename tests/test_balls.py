@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from pomsetblock import (
+    BlockSpace,
     NotFullCount,
+    SpaceTooLarge,
     antichain_space,
     chain_space,
     full_count_structure,
@@ -24,6 +27,7 @@ from pomsetblock import (
     r_ball_size,
     r_sphere_size,
     support_census,
+    weight_distribution,
 )
 from pomsetblock import balls
 
@@ -41,7 +45,7 @@ from helpers import (
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pomsetblock import space_with_order
 
@@ -256,25 +260,38 @@ def test_weight_table_and_radius_balls_match_the_scan(space, data):
             v.coords for v in space.vectors() if in_i_ball(center, v, ideal)]
 
 
+def test_weight_enumerator_bounded_by_the_cap():
+    # n*h + 1 = 2*2 + 1 = 5 coefficients on the small chain
+    sp = small_chain()
+    at_cap = BlockSpace(5, sp.pomset, sp.pi, cap=5)
+    assert balls.weight_enumerator(at_cap) == balls.weight_enumerator(sp)
+    below = BlockSpace(5, sp.pomset, sp.pi, cap=4)
+    for closed_form in (r_sphere_size, r_ball_size):
+        with pytest.raises(SpaceTooLarge, match="5 coefficients, above the cap 4"):
+            closed_form(below, 2)
+    with pytest.raises(SpaceTooLarge, match="above the cap 4"):
+        weight_distribution(below)
+
+
 class TestFullCountStructure:
     def test_small_chain_report(self):
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "2/1"))
         assert report.ok
         assert report.ball_size == 5 == report.expected_ball_size
-        assert report.translates_partition
+        assert report.coordinate_form
 
     def test_empty_ideal_ball_is_zero_submodule(self):
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "-"))
         assert report.ok and report.ball_size == 1
-        assert report.translates_partition
+        assert report.coordinate_form
 
     def test_full_ideal_ball_is_whole_space(self):
         sp = small_chain()
         report = full_count_structure(sp, parse_ideal(sp, "2/1 2/2"))
         assert report.ok and report.ball_size == sp.size()
-        assert report.translates_partition
+        assert report.coordinate_form
 
     def test_perp_is_complement_ball_in_dual(self):
         sp = small_chain()
@@ -312,10 +329,58 @@ def test_perp_verdict_needs_the_coordinate_form(monkeypatch):
         assert forged, "full_count_structure no longer reads the forged builder"
         assert not report.coordinate_form
         assert not report.perp_equals_dual_ball
-        # six or four members translated by five centers cannot tile 25
-        # vectors once
-        assert not report.translates_partition
         assert not report.ok
+
+
+@given(relabelled_spaces(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_two_comparisons_give_the_five_clause_verdict(space, data):
+    # a forged zero-centre builder: the true ball, or one a member short,
+    # with a member repeated, with a stray vector, shuffled, or another
+    # full-count ideal's ball; the closure, size and tiling clauses the
+    # report no longer computes must never change its verdict
+    full = [i for i in space.pomset.ideals() if i.is_full_count()]
+    ideal = data.draw(st.sampled_from(full))
+    real = balls.i_ball_coords
+    members = real(space.zero(), ideal)
+    inside = {idx for i in ideal.root_set
+              for idx in range(*space.block_bounds(i))}
+    index = st.integers(0, len(members) - 1)
+    how = data.draw(st.sampled_from(
+        ["true", "missing", "repeated", "stray", "shuffled", "other"]))
+    forged = list(members)
+    if how == "missing":
+        del forged[data.draw(index)]
+    elif how == "repeated":
+        forged.insert(data.draw(index), forged[data.draw(index)])
+    elif how == "stray":
+        strays = [w for w in space.coord_tuples()
+                  if any(w[idx] for idx in range(space.N) if idx not in inside)]
+        assume(strays)
+        forged.insert(data.draw(index), data.draw(st.sampled_from(strays)))
+    elif how == "shuffled":
+        forged = data.draw(st.permutations(members))
+    elif how == "other":
+        forged = real(space.zero(), data.draw(st.sampled_from(full)))
+
+    def forged_i_ball_coords(center, ideal_):
+        return forged if center.space is space else real(center, ideal_)
+
+    with patch.object(balls, "i_ball_coords", forged_i_ball_coords):
+        report = full_count_structure(space, ideal)
+    expected_size = space.m ** len(inside)
+    perp = [w for w in space.coord_tuples() if not any(w[idx] for idx in inside)]
+    five_clauses = (
+        len(forged) == expected_size
+        and (len(forged) == space.size()
+             or space.span(forged, len(forged)) == set(forged))
+        and report.coordinate_form
+        and set(space.cover_counts(perp, forged)) == {1}
+        and report.perp_equals_dual_ball
+    )
+    assert report.ball_size == len(forged)
+    assert report.expected_ball_size == expected_size
+    assert report.ok == five_clauses == (forged == members)
 
 
 # grid spaces small enough for the |space| x |ball| dot-product scan

@@ -1,5 +1,8 @@
 """End-to-end CLI checks, run in-process through main()."""
 
+import random
+import time
+
 import pytest
 
 from pomsetblock.cli import main
@@ -163,6 +166,25 @@ class TestMdsDualPackradDuality:
                            str(rows))
         assert code == 0 and "min-distance\t1" in out
 
+    def test_cap_bounds_the_pair_scan(self, capsys, tmp_path):
+        # 1 200 distinct random words on a six-block chain, not linear:
+        # 719 400 pair distances against a cap of 1 000
+        sp = tmp_path / "chain.space"
+        sp.write_text("m 5\nblocks 1 1 1 1 1 1\norder 1<2 2<3 3<4 4<5 5<6\n")
+        rng = random.Random(0)
+        words = set()
+        while len(words) < 1200:
+            words.add(" ".join(str(rng.randrange(5)) for _ in range(6)))
+        codefile = tmp_path / "random.code"
+        codefile.write_text("explicit\n" + "\n".join(sorted(words)) + "\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "--cap", "1000", "mds", "check", str(sp),
+                             str(codefile))
+        assert time.perf_counter() - started < 2
+        assert code == 2 and out == ""
+        assert err == ("pomsetblock: 719400 codeword pairs to weigh, "
+                       "above the cap 1000\n")
+
     def test_dual_round_trips(self, capsys, small, tmp_path):
         axis = tmp_path / "axis.code"
         axis.write_text("linear\n1 0\n")
@@ -270,6 +292,25 @@ def test_cap_set_on_the_space_bounds_every_path(capsys, small, tmp_path, path):
     free = run(capsys, *argv)
     assert free[0] in (0, 1) and free[2] == ""
     assert run(capsys, "--cap", "25", *argv) == free
+
+
+def test_cap_bounds_the_weight_enumerator(capsys, tmp_path):
+    # h = 5*10^7: the closed forms would build 5*10^7 + 1 coefficients
+    p = tmp_path / "huge.space"
+    p.write_text("m 100000001\nblocks 1\n")
+    for argv in (["ballsize", str(p), "--radius", "3"], ["wdist", str(p)]):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "--cap", "1000", *argv)
+        assert time.perf_counter() - started < 2
+        assert code == 2 and out == ""
+        assert err == ("pomsetblock: weight enumerator has 50000001 "
+                       "coefficients, above the cap 1000\n")
+
+
+def test_zero_cap_refuses_the_closed_forms(capsys, small):
+    code, out, err = run(capsys, "--cap", "0", "wdist", small)
+    assert (code, out) == (2, "")
+    assert err == "pomsetblock: weight enumerator has 5 coefficients, above the cap 0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -99,6 +99,20 @@ class TestCode:
             )
             assert c.min_distance("pomset") == pairwise
 
+    def test_pair_scan_bounded_by_the_cap(self):
+        # three words, not closed under addition: three pairs to weigh
+        words = [(0, 0), (1, 1), (2, 2)]
+        sp = small_chain()
+        at_cap = Code(BlockSpace(5, sp.pomset, sp.pi, cap=3), words)
+        assert at_cap.min_distance("pomset") == 3
+        below = Code(BlockSpace(5, sp.pomset, sp.pi, cap=2), words)
+        for metric in ("pomset", "poset"):
+            with pytest.raises(SpaceTooLarge, match="3 codeword pairs.*above the cap 2"):
+                below.min_distance(metric)
+        # the linear path weighs |C| words and ignores the pair count
+        diagonal = Code(below.space, [(k, k) for k in range(5)])
+        assert diagonal.linear and diagonal.min_distance("pomset") == 3
+
     def test_singleton_has_no_distance(self):
         with pytest.raises(SingletonCode):
             Code(small_chain(), [(0, 0)]).min_distance()

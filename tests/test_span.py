@@ -7,7 +7,6 @@ from pomsetblock import (
     BlockSpace,
     Code,
     antichain_space,
-    full_count_structure,
     i_ball,
 )
 
@@ -84,5 +83,3 @@ def test_ball_submodule_verdicts_match_pair_scan():
         want = pair_scan_closed(space, ball)
         assert want == ideal.is_full_count()
         assert (space.span(ball, len(ball)) == ball) == want
-        if ideal.is_full_count():
-            assert full_count_structure(space, ideal).is_submodule == want
