@@ -43,7 +43,7 @@ print("\nthe ball of the full-count ideal 2/1:",
 report = full_count_structure(space, ideal)
 # the root of 2/1 is block 1, one coordinate long
 print("vectors vanishing off the root:", report.coordinate_form,
-      "| size", report.ball_size, "= 5^1",
+      "| size", i_ball_size(space, ideal), "= 5^1",
       "| perp = complement ball in the dual:", report.perp_equals_dual_ball)
 # closure and tiling follow from the coordinate form; their owners show them
 ball = i_ball_coords(space.zero(), ideal)

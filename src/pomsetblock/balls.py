@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
+from operator import add
 
 from .block_space import BlockSpace, BlockVector, block_shell_size
 from .errors import NotFullCount, SpaceTooLarge
@@ -27,6 +28,7 @@ def i_ball_coords(center: BlockVector, ideal: Ideal) -> list[tuple[int, ...]]:
     the center's entry.
     """
     space = center.space
+    space.check_ideal(ideal)
     space.check_enumerable()
     m = space.m
     per_coord = []
@@ -70,6 +72,7 @@ def i_sphere_size(space: BlockSpace, ideal: Ideal) -> int:
     Maximal root elements contribute blocks of exact maximum Lee weight;
     the remaining root elements (necessarily at full count) are free.
     """
+    space.check_ideal(ideal)
     maximal = ideal.maximal_root()
     total = 1
     for i in maximal:
@@ -82,6 +85,7 @@ def i_sphere_size(space: BlockSpace, ideal: Ideal) -> int:
 def i_ball_size(space: BlockSpace, ideal: Ideal) -> int:
     """Closed-form |I-ball|: partial-count blocks restrict every entry to
     Lee weight <= the count, full-count blocks are free, others are zero."""
+    space.check_ideal(ideal)
     total = 1
     for i in ideal.partial_indices():
         total *= (1 + 2 * ideal.count(i)) ** space.pi[i - 1]
@@ -174,13 +178,26 @@ def support_census(space: BlockSpace) -> dict[tuple[int, ...], int]:
     return census
 
 
+def down_set_sums(space: BlockSpace, census) -> dict[tuple[int, ...], int]:
+    """For each profile p in {0..h}^n, the census total over keys pointwise
+    <= p, by one prefix sum per axis: n*(h+1)^n steps. An ideal is down-closed,
+    so the profile and the support census give the same sum at every ideal."""
+    base = space.max_lee + 1
+    profiles = list(product(range(base), repeat=space.n))
+    sums = [census.get(p, 0) for p in profiles]
+    chunk = len(sums) // base
+    for _ in range(space.n):
+        # rotate the last axis to the front, then sum along it chunk by chunk
+        sums = list(chain.from_iterable(sums[r::base] for r in range(base)))
+        for lo in range(chunk, len(sums), chunk):
+            sums[lo:lo + chunk] = map(add, sums[lo - chunk:lo], sums[lo:lo + chunk])
+    return dict(zip(profiles, sums))
+
+
 def i_ball_size_enumerated(space: BlockSpace, ideal: Ideal) -> int:
-    """Oracle for :func:`i_ball_size`; rescans the space each call."""
-    want = ideal.counts.counts
-    return sum(
-        mult for profile, mult in profile_census(space).items()
-        if all(p <= w for p, w in zip(profile, want))
-    )
+    """Oracle for :func:`i_ball_size`: one census sweep, summed below the ideal."""
+    space.check_ideal(ideal)
+    return down_set_sums(space, profile_census(space))[ideal.counts.counts]
 
 
 # ----- full-count ball structure ----------------------------------------------
@@ -190,8 +207,6 @@ def i_ball_size_enumerated(space: BlockSpace, ideal: Ideal) -> int:
 class FullCountBallReport:
     """Structure verification for the ball of a full-count ideal."""
 
-    ball_size: int
-    expected_ball_size: int
     coordinate_form: bool
     perp_equals_dual_ball: bool
 
@@ -217,11 +232,11 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
     :meth:`BlockSpace.span` and :func:`~pomsetblock.codes.verify_perfect`
     own those facts.
     """
+    space.check_ideal(ideal)
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
     m, N = space.m, space.N
     members = i_ball_coords(space.zero(), ideal)
-    root_len = sum(space.pi[i - 1] for i in ideal.root_set)
     inside = {idx for i in ideal.root_set
               for idx in range(*space.block_bounds(i))}
     coordinate_form = members == list(
@@ -233,8 +248,6 @@ def full_count_structure(space: BlockSpace, ideal: Ideal) -> FullCountBallReport
     perp = list(product(*[(0,) if idx in inside else range(m) for idx in range(N)]))
     dual_ball = i_ball_coords(space.dual().zero(), ideal.complement())
     return FullCountBallReport(
-        ball_size=len(members),
-        expected_ball_size=m**root_len,
         coordinate_form=coordinate_form,
         perp_equals_dual_ball=coordinate_form and perp == dual_ball,
     )
@@ -247,6 +260,7 @@ def nonlinearity_witness(space: BlockSpace, ideal: Ideal) -> tuple[BlockVector, 
     partial block: Lee(c + 1) = c + 1 > c because c + 1 <= floor(m/2).
     The pair is verified before being returned.
     """
+    space.check_ideal(ideal)
     partial = ideal.partial_indices()
     if not partial:
         raise ValueError("ideal has full count; its ball is closed under addition")

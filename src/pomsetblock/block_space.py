@@ -159,6 +159,12 @@ class BlockSpace:
         if not 0 <= r <= top:
             raise ValueError(f"{noun} {r} outside 0..{top}")
 
+    def check_ideal(self, ideal) -> None:
+        """Reject an ideal of any order but this space's block order."""
+        if ideal.pomset != self.pomset:
+            raise SpaceMismatch(f"{ideal!r} is an ideal of {ideal.pomset!r}, "
+                                f"not of the space's {self.pomset!r}")
+
     def check_enumerable(self) -> None:
         if self.size() > self.cap:
             raise SpaceTooLarge(

@@ -208,8 +208,9 @@ def construct_perfect_partial(space: BlockSpace, ideal: Ideal) -> Code:
     count t draws every coordinate from the multiples of 2t+1 (which
     requires (2t+1) | m); blocks off the root are free.
     """
+    space.check_ideal(ideal)
     m = space.m
-    per_block = []
+    per_coord = []
     size = 1
     for i in range(1, space.n + 1):
         t = ideal.count(i)
@@ -223,13 +224,12 @@ def construct_perfect_partial(space: BlockSpace, ideal: Ideal) -> Code:
             allowed = tuple(range(0, m, 2 * t + 1))
         k = space.pi[i - 1]
         size *= len(allowed) ** k
-        per_block.append(list(product(allowed, repeat=k)))
+        per_coord += [allowed] * k
     if size > space.cap:
         raise SpaceTooLarge(
             f"construction would emit {size} codewords, above the cap {space.cap}"
         )
-    return Code(space, [tuple(x for b in blocks for x in b)
-                        for blocks in product(*per_block)])
+    return Code(space, product(*per_coord))
 
 
 def dual_code(code: Code) -> Code:

@@ -196,8 +196,10 @@ class Pomset:
                     out.append(tuple(counts))
                 return
             i = order[pos]
-            open_above = all(counts[j - 1] == h for j in self._below[i])
-            for c in range(0, h + 1 if open_above else 1):
+            top = h if all(counts[j - 1] == h for j in self._below[i]) else 0
+            if t is not None:
+                top = min(top, t - total)  # a larger count overshoots t
+            for c in range(top + 1):
                 counts[i - 1] = c
                 rec(pos + 1, total + c)
             counts[i - 1] = 0

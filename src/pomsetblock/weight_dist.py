@@ -5,7 +5,8 @@
 ``balls.r_sphere_size``; ``chain_shell_size`` is the chain-order closed
 form. The residue and block shells (``lee_shell_size``,
 ``block_shell_size``) sit in :mod:`block_space` beside ``lee_weight``. Each
-closed form has an enumeration-based twin.
+closed form has an enumeration-based twin: ``weight_distribution_enumerated``
+sums ``balls.support_census`` by cardinality.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import product
 
 from .block_space import BlockSpace, block_max_lee, block_shell_size
 from .errors import NotAChain
-from .balls import profile_census, weight_enumerator
+from .balls import support_census, weight_enumerator
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
@@ -52,11 +53,10 @@ def weight_distribution(space: BlockSpace) -> WeightDistribution:
 
 
 def weight_distribution_enumerated(space: BlockSpace) -> WeightDistribution:
-    """All shell counts by a full-space scan (the oracle)."""
-    pomset = space.pomset
+    """All shell counts by a full-space scan: the support census by weight."""
     shells = [0] * (space.n * space.max_lee + 1)
-    for profile, mult in profile_census(space).items():
-        shells[sum(pomset.generated_counts(profile))] += mult
+    for key, mult in support_census(space).items():
+        shells[sum(key)] += mult
     return WeightDistribution(space, tuple(shells))
 
 

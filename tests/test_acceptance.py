@@ -236,10 +236,10 @@ def test_07_full_count_ball_structure():
             report = pb.full_count_structure(space, ideal)
             if not report.ok:
                 failures.append((m, pi, order, ideal.counts.literal(), report))
-            if report.ball_size != pb.i_ball_size(space, ideal):
+            ball = pb.i_ball_coords(space.zero(), ideal)
+            if len(ball) != pb.i_ball_size(space, ideal):
                 failures.append((m, pi, order, ideal.counts.literal(), "size"))
             # closure is the span's fact; the whole space is trivially closed
-            ball = pb.i_ball_coords(space.zero(), ideal)
             if len(ball) < space.size() and space.span(ball, len(ball)) != set(ball):
                 failures.append((m, pi, order, ideal.counts.literal(), "closure"))
     acceptance_report("full-count-ball-structure", 120.0, started, failures)

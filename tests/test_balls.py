@@ -10,10 +10,13 @@ import pytest
 
 from pomsetblock import (
     BlockSpace,
+    Code,
     NotFullCount,
+    SpaceMismatch,
     SpaceTooLarge,
     antichain_space,
     chain_space,
+    construct_perfect_partial,
     full_count_structure,
     i_ball,
     i_ball_coords,
@@ -27,6 +30,7 @@ from pomsetblock import (
     r_ball_size,
     r_sphere_size,
     support_census,
+    verify_perfect,
     weight_distribution,
 )
 from pomsetblock import balls
@@ -196,8 +200,10 @@ class TestClosedForms:
             assert i_ball_size(sp, ideal) == len(i_ball(sp.zero(), ideal))
 
 
-tiny_spaces = st.integers(4, 9).flatmap(
-    lambda m: st.integers(1, 3).flatmap(
+def random_orders(moduli):
+    """(m, pi, pairs): a modulus drawn from ``moduli``, at most 3 blocks of
+    length at most 2, and at most 3 order pairs."""
+    return moduli.flatmap(lambda m: st.integers(1, 3).flatmap(
         lambda n: st.tuples(
             st.just(m),
             st.lists(st.integers(1, 2), min_size=n, max_size=n),
@@ -208,8 +214,10 @@ tiny_spaces = st.integers(4, 9).flatmap(
                 max_size=3,
             ),
         )
-    )
-)
+    ))
+
+
+tiny_spaces = random_orders(st.integers(4, 9))
 
 
 @given(tiny_spaces)
@@ -228,6 +236,49 @@ def test_closed_forms_match_census_on_random_spaces(config):
         if r:
             running += want
         assert r_ball_size(sp, r) == running
+
+
+@given(random_orders(st.integers(2, 7)))
+@settings(max_examples=60, deadline=None)
+def test_down_set_sums_match_the_brute_filter(config):
+    m, pi, pairs = config
+    sp = space_with_order(m, tuple(pi), pairs)
+    profiles, supports = balls.profile_census(sp), support_census(sp)
+    by_profile = balls.down_set_sums(sp, profiles)
+    by_support = balls.down_set_sums(sp, supports)
+
+    def below(census, p):
+        return sum(mult for key, mult in census.items()
+                   if all(a <= b for a, b in zip(key, p)))
+
+    for ideal in sp.pomset.ideals():
+        p = ideal.counts.counts
+        assert by_profile[p] == by_support[p] == below(supports, p)
+    assert len(by_profile) == (sp.max_lee + 1) ** sp.n
+    for p, total in by_profile.items():
+        assert total == below(profiles, p)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sp, ideal: i_ball_coords(sp.zero(), ideal),
+    i_sphere_size,
+    i_ball_size,
+    i_ball_size_enumerated,
+    full_count_structure,
+    nonlinearity_witness,
+    lambda sp, ideal: verify_perfect(Code(sp, [sp.zero()]), ideal=ideal),
+    construct_perfect_partial,
+], ids=["i_ball_coords", "i_sphere_size", "i_ball_size",
+        "i_ball_size_enumerated", "full_count_structure",
+        "nonlinearity_witness", "verify_perfect", "construct_perfect_partial"])
+def test_an_ideal_of_another_order_is_rejected(entry):
+    # on the 3-block chain: an ideal of the 3-block antichain, which is no
+    # ideal of the chain, and an ideal of a 2-block chain
+    sp = chain_space(5, (1, 1, 1))
+    for ideal in (parse_ideal(antichain_space(5, (1, 1, 1)), "1/3"),
+                  parse_ideal(chain_space(5, (1, 1)), "2/1 1/2")):
+        with pytest.raises(SpaceMismatch, match="not of the space's"):
+            entry(sp, ideal)
 
 
 @st.composite
@@ -276,21 +327,24 @@ def test_weight_enumerator_bounded_by_the_cap():
 class TestFullCountStructure:
     def test_small_chain_report(self):
         sp = small_chain()
-        report = full_count_structure(sp, parse_ideal(sp, "2/1"))
+        ideal = parse_ideal(sp, "2/1")
+        report = full_count_structure(sp, ideal)
         assert report.ok
-        assert report.ball_size == 5 == report.expected_ball_size
+        assert i_ball_size_enumerated(sp, ideal) == 5
         assert report.coordinate_form
 
     def test_empty_ideal_ball_is_zero_submodule(self):
         sp = small_chain()
-        report = full_count_structure(sp, parse_ideal(sp, "-"))
-        assert report.ok and report.ball_size == 1
+        ideal = parse_ideal(sp, "-")
+        report = full_count_structure(sp, ideal)
+        assert report.ok and i_ball_size_enumerated(sp, ideal) == 1
         assert report.coordinate_form
 
     def test_full_ideal_ball_is_whole_space(self):
         sp = small_chain()
-        report = full_count_structure(sp, parse_ideal(sp, "2/1 2/2"))
-        assert report.ok and report.ball_size == sp.size()
+        ideal = parse_ideal(sp, "2/1 2/2")
+        report = full_count_structure(sp, ideal)
+        assert report.ok and i_ball_size_enumerated(sp, ideal) == sp.size()
         assert report.coordinate_form
 
     def test_perp_is_complement_ball_in_dual(self):
@@ -378,8 +432,6 @@ def test_two_comparisons_give_the_five_clause_verdict(space, data):
         and set(space.cover_counts(perp, forged)) == {1}
         and report.perp_equals_dual_ball
     )
-    assert report.ball_size == len(forged)
-    assert report.expected_ball_size == expected_size
     assert report.ok == five_clauses == (forged == members)
 
 

@@ -237,6 +237,9 @@ class TestSelftest:
         p.write_text("m 7\nblocks 1 1 1 1 1\norder 1<3 2<4 2<5\n")
         code, out, _ = run(capsys, "selftest", str(p))
         assert code == 0 and "FAIL" not in out
+        rows = out.splitlines()
+        assert "partial-ball-size\t118 ideals\t192328\t192328\tok" in rows
+        assert "full-count-ball\t3/1 3/2 3/3 3/4 3/5\t16807\t16807\tok" in rows
 
     def test_corrupt_space_is_invalid_input(self, capsys, tmp_path):
         p = tmp_path / "bad.space"

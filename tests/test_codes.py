@@ -26,6 +26,8 @@ from pomsetblock import (
     verify_perfect,
 )
 
+from pomsetblock import codes
+
 from helpers import (
     GRID,
     grid_space,
@@ -209,6 +211,21 @@ class TestPerfectPartial:
         with pytest.raises(DivisibilityFails) as exc:
             construct_perfect_partial(sp, parse_ideal(sp, "1/1"))
         assert exc.value.index == 1 and exc.value.count == 1
+
+    def test_cap_is_checked_before_any_block_product(self, monkeypatch):
+        # height 500: 500/2 pins block 2 and leaves block 1 free, 1001^2
+        # words; 2/2 also fails 5 | 1001, which is reported before the cap
+        sp = antichain_space(1001, (2, 1))
+        capped = BlockSpace(1001, sp.pomset, sp.pi, cap=10)
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("a block product was built before the cap check")
+
+        monkeypatch.setattr(codes, "product", no_product)
+        with pytest.raises(SpaceTooLarge, match="above the cap 10"):
+            construct_perfect_partial(capped, parse_ideal(capped, "500/2"))
+        with pytest.raises(DivisibilityFails):
+            construct_perfect_partial(capped, parse_ideal(capped, "2/2"))
 
     def test_centers_alone_are_disjoint(self):
         # the partial-block centers give disjoint balls even before the

@@ -1,5 +1,7 @@
 """Pomsets and ideals: construction, generation, duality, enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +197,15 @@ class TestEnumeration:
                 assert len(chain.ideals_by_maximal_count(t, 1)) == 1
                 for j in range(2, min(t, 4) + 1):
                     assert chain.ideals_by_maximal_count(t, j) == []
+
+    def test_cardinality_bounds_the_count_loop(self):
+        # height 10^7: a count above t - total can never reach cardinality t,
+        # so the enumerator tries at most t + 1 counts per position
+        p = Pomset(2, 10**7)
+        started = time.perf_counter()
+        got = [i.counts.counts for i in p.ideals_of_cardinality(3)]
+        assert time.perf_counter() - started < 2
+        assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
     def test_antichain_singletons(self):
         p = Pomset(4, 2)
