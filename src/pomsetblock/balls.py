@@ -83,14 +83,14 @@ def i_sphere_size(space: BlockSpace, ideal: Ideal) -> int:
 
 
 def i_ball_size(space: BlockSpace, ideal: Ideal) -> int:
-    """Closed-form |I-ball|: partial-count blocks restrict every entry to
-    Lee weight <= the count, full-count blocks are free, others are zero."""
+    """Closed-form |I-ball|: the product over blocks of min(2c + 1, m)^k,
+    the number of residues within Lee distance c of an entry (c the
+    block's count, k its length); so 1 off the root, 2c + 1 on a partial
+    count and m, for either parity of m, on a full one."""
     space.check_ideal(ideal)
     total = 1
-    for i in ideal.partial_indices():
-        total *= (1 + 2 * ideal.count(i)) ** space.pi[i - 1]
-    for j in ideal.full_indices():
-        total *= space.m ** space.pi[j - 1]
+    for c, k in zip(ideal.counts.counts, space.pi):
+        total *= min(2 * c + 1, space.m) ** k
     return total
 
 
@@ -192,6 +192,15 @@ def down_set_sums(space: BlockSpace, census) -> dict[tuple[int, ...], int]:
         for lo in range(chunk, len(sums), chunk):
             sums[lo:lo + chunk] = map(add, sums[lo - chunk:lo], sums[lo:lo + chunk])
     return dict(zip(profiles, sums))
+
+
+def weight_sums(space: BlockSpace, census) -> list[int]:
+    """For each weight r in 0..n*h, the census total over keys of
+    cardinality r: a support census summed this way is the distribution."""
+    sums = [0] * (space.n * space.max_lee + 1)
+    for key, mult in census.items():
+        sums[sum(key)] += mult
+    return sums
 
 
 def i_ball_size_enumerated(space: BlockSpace, ideal: Ideal) -> int:

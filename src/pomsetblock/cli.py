@@ -21,6 +21,7 @@ from .balls import (
     r_ball_coords,
     r_ball_size,
     support_census,
+    weight_sums,
 )
 from .block_space import DEFAULT_CAP, block_shell_size
 from .codes import construct_perfect_partial, dual_code, verify_perfect
@@ -190,13 +191,11 @@ def _cmd_selftest(space, args) -> int:
     # per-radius sphere and ball sizes, all read off one closed-form
     # distribution
     shells = weight_distribution(space).shells
-    by_card: dict[int, int] = {}
-    for key, mult in census.items():
-        by_card[sum(key)] = by_card.get(sum(key), 0) + mult
+    by_weight = weight_sums(space, census)
     running = f_running = 0
     for r in range(top + 1):
         f = shells[r]
-        o = by_card.get(r, 0)
+        o = by_weight[r]
         rows.append(("sphere-size", f"r={r}", f, o, f == o))
         running += o
         f_running += f
@@ -248,7 +247,7 @@ def _cmd_selftest(space, args) -> int:
     if space.pomset.is_chain():
         for r in range(top + 1):
             f = chain_shell_size(space, r)
-            o = by_card.get(r, 0)
+            o = by_weight[r]
             rows.append(("chain-shells", f"r={r}", f, o, f == o))
 
     all_ok = True

@@ -132,15 +132,12 @@ class Code:
 
 @dataclass(frozen=True)
 class PerfectnessCertificate:
-    """Outcome of a whole-space disjointness-and-cover tally.
-
-    ``parameter`` is the ideal or the radius the balls were drawn with;
-    ``overlap`` holds the first vector found in two codeword balls (with
-    those codewords); ``uncovered`` the first vector in none.
+    """Outcome of a whole-space disjointness-and-cover tally: the two
+    verdicts, and as witnesses ``overlap``, the first vector found in two
+    codeword balls (with those codewords), and ``uncovered``, the first
+    vector in none.
     """
 
-    kind: str
-    parameter: object
     disjoint: bool
     covering: bool
     overlap: tuple[BlockVector, BlockVector, BlockVector] | None
@@ -168,10 +165,8 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
     zero = space.zero()
     if ideal is not None:
         ball = set(i_ball_coords(zero, ideal))
-        kind, parameter = "ideal", ideal
     else:
         ball = set(r_ball_coords(zero, radius))
-        kind, parameter = "radius", radius
     hits = space.cover_counts(code.coord_set, ball)
     crowded, empty = hits.find(2), hits.find(0)
     overlap = uncovered = None
@@ -181,8 +176,6 @@ def verify_perfect(code: Code, ideal: Ideal | None = None,
     if empty >= 0:
         uncovered = space.vector_at(empty)
     return PerfectnessCertificate(
-        kind=kind,
-        parameter=parameter,
         disjoint=overlap is None,
         covering=uncovered is None,
         overlap=overlap,
@@ -195,6 +188,7 @@ def construct_perfect_full(space: BlockSpace, ideal: Ideal) -> Code:
     vanishing on the root blocks. One codeword per ball, hence perfect;
     it is what :func:`construct_perfect_partial` builds when no count is
     partial."""
+    space.check_ideal(ideal)
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
     return construct_perfect_partial(space, ideal)
@@ -281,6 +275,7 @@ class PerpDualityReport:
 
 
 def perp_duality_report(code: Code, ideal: Ideal) -> PerpDualityReport:
+    code.space.check_ideal(ideal)
     if not ideal.is_full_count():
         raise NotFullCount(f"{ideal!r} has a partial count")
     left = verify_perfect(code, ideal=ideal).is_perfect

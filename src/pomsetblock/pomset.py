@@ -17,8 +17,9 @@ class Pomset:
     """An immutable strict partial order on {1..n} with a height.
 
     ``relations`` is any iterable of pairs ``(i, j)`` meaning *i strictly
-    below j* (1-based); the transitive closure is stored and a cycle in
-    the closure is a construction error.
+    below j* (1-based). The transitive closure is built once, as the set
+    of elements strictly below each element, and every order or ideal
+    fact is read off it; a cycle in the closure is a construction error.
     """
 
     __slots__ = ("n", "height", "_below", "_above", "_pairs", "_dual")
@@ -31,35 +32,27 @@ class Pomset:
         self.n = n
         self.height = height
 
-        reach = [[False] * (n + 1) for _ in range(n + 1)]
+        below = [set() for _ in range(n + 1)]
         for i, j in relations:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
             if i == j:
                 raise ValueError(f"pair ({i}, {i}) relates an element to itself")
-            reach[i][j] = True
+            below[j].add(i)
+        # Warshall (J. ACM 9, 1962): after step k each set holds every
+        # element that reaches its owner through intermediates from 1..k
         for k in range(1, n + 1):
-            rk = reach[k]
-            for i in range(1, n + 1):
-                if reach[i][k]:
-                    ri = reach[i]
-                    for j in range(1, n + 1):
-                        if rk[j]:
-                            ri[j] = True
+            for down in below:
+                if k in down:
+                    down |= below[k]
         for i in range(1, n + 1):
-            if reach[i][i]:
+            if i in below[i]:
                 raise CycleDetected(f"element {i} lies strictly below itself")
 
-        below = [frozenset()] * (n + 1)
-        above = [frozenset()] * (n + 1)
-        for j in range(1, n + 1):
-            below[j] = frozenset(i for i in range(1, n + 1) if reach[i][j])
-            above[j] = frozenset(i for i in range(1, n + 1) if reach[j][i])
-        self._below = tuple(below)
-        self._above = tuple(above)
-        self._pairs = frozenset(
-            (i, j) for j in range(1, n + 1) for i in below[j]
-        )
+        self._below = tuple(frozenset(down) for down in below)
+        self._above = tuple(frozenset(j for j in range(1, n + 1) if i in below[j])
+                            for i in range(n + 1))
+        self._pairs = frozenset((i, j) for j in range(1, n + 1) for i in below[j])
         self._dual = None
 
     # ----- the order ------------------------------------------------------
@@ -88,13 +81,10 @@ class Pomset:
         return self._pairs
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """The transitive reduction, sorted; empty for an antichain."""
-        covers = []
-        for i, j in sorted(self._pairs):
-            if not any(self.is_below(i, k) and self.is_below(k, j)
-                       for k in range(1, self.n + 1)):
-                covers.append((i, j))
-        return covers
+        """The transitive reduction, sorted; empty for an antichain: the
+        related pairs with no element strictly between them."""
+        return sorted((i, j) for i, j in self._pairs
+                      if not self._above[i] & self._below[j])
 
     def dual(self) -> Pomset:
         """Same elements and height, order reversed; an involution."""
@@ -105,11 +95,8 @@ class Pomset:
         return self._dual
 
     def is_chain(self) -> bool:
-        return all(
-            self.is_below(i, j) or self.is_below(j, i)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        )
+        # a strict order relates each of the n(n-1)/2 pairs at most once
+        return len(self._pairs) == self.n * (self.n - 1) // 2
 
     def is_antichain(self) -> bool:
         return not self._pairs
@@ -136,13 +123,10 @@ class Pomset:
             )
 
     def is_ideal(self, mset: Multiset) -> bool:
-        """Down-closure law: positive count at i forces full count below i."""
+        """Down-closure law: positive count at i forces full count below i,
+        that is, ``mset`` is its own closure under :meth:`generated_counts`."""
         self._check_mset(mset)
-        h = self.height
-        for i, c in enumerate(mset.counts, 1):
-            if c > 0 and any(mset.count(j) != h for j in self._below[i]):
-                return False
-        return True
+        return self.generated_counts(mset.counts) == mset.counts
 
     def generated_counts(self, counts) -> tuple[int, ...]:
         """Closure of a raw count sequence (index 0 holds element 1)."""
@@ -251,10 +235,7 @@ class Ideal:
     def maximal_root(self) -> frozenset[int]:
         """Root elements with nothing of the ideal strictly above them."""
         root = self.counts.root_set
-        return frozenset(
-            i for i in root
-            if not (self.pomset.strictly_above(i) & root)
-        )
+        return root - self.pomset.strictly_below_set(root)
 
     def maximal_elements(self) -> Multiset:
         """The ideal's counts restricted to its maximal root elements."""
@@ -274,10 +255,6 @@ class Ideal:
         """Root elements carrying less than the full height, ascending."""
         h = self.counts.height
         return tuple(i for i, c in enumerate(self.counts.counts, 1) if 0 < c < h)
-
-    def full_indices(self) -> tuple[int, ...]:
-        h = self.counts.height
-        return tuple(i for i, c in enumerate(self.counts.counts, 1) if c == h)
 
     def complement(self) -> Ideal:
         """The complement multiset, which is an ideal of the dual order."""

@@ -6,7 +6,7 @@
 form. The residue and block shells (``lee_shell_size``,
 ``block_shell_size``) sit in :mod:`block_space` beside ``lee_weight``. Each
 closed form has an enumeration-based twin: ``weight_distribution_enumerated``
-sums ``balls.support_census`` by cardinality.
+sums ``balls.support_census`` by cardinality (``balls.weight_sums``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import product
 
 from .block_space import BlockSpace, block_max_lee, block_shell_size
 from .errors import NotAChain
-from .balls import support_census, weight_enumerator
+from .balls import support_census, weight_enumerator, weight_sums
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
@@ -54,10 +54,7 @@ def weight_distribution(space: BlockSpace) -> WeightDistribution:
 
 def weight_distribution_enumerated(space: BlockSpace) -> WeightDistribution:
     """All shell counts by a full-space scan: the support census by weight."""
-    shells = [0] * (space.n * space.max_lee + 1)
-    for key, mult in support_census(space).items():
-        shells[sum(key)] += mult
-    return WeightDistribution(space, tuple(shells))
+    return WeightDistribution(space, tuple(weight_sums(space, support_census(space))))
 
 
 def chain_shell_size(space: BlockSpace, r: int) -> int:

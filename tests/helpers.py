@@ -201,11 +201,9 @@ def perfect_by_pair_scan(code: pb.Code, ideal: pb.Ideal | None = None,
     space = code.space
     if ideal is not None:
         member = lambda c, v: in_i_ball(c, v, ideal)
-        kind, parameter = "ideal", ideal
     else:
         space.check_weight(radius, "radius")
         member = lambda c, v: (c - v).weight() <= radius
-        kind, parameter = "radius", radius
     overlap = None
     uncovered = None
     for v in space.vectors():
@@ -222,8 +220,6 @@ def perfect_by_pair_scan(code: pb.Code, ideal: pb.Ideal | None = None,
         if overlap is not None and uncovered is not None:
             break
     return pb.PerfectnessCertificate(
-        kind=kind,
-        parameter=parameter,
         disjoint=overlap is None,
         covering=uncovered is None,
         overlap=overlap,
@@ -273,18 +269,56 @@ def wide_space() -> pb.BlockSpace:
 
 def brute_force_ideal_vectors(pomset: pb.Pomset) -> list[tuple[int, ...]]:
     """Oracle: filter every count vector by the down-closure law directly."""
-    h, n = pomset.height, pomset.n
-    out = []
-    for counts in product(range(h + 1), repeat=n):
-        ok = True
+    return [counts for counts in product(range(pomset.height + 1), repeat=pomset.n)
+            if is_ideal_by_law(pomset, counts)]
+
+
+def closure_by_matrix(n: int, relations) -> list[frozenset[int]] | None:
+    """Oracle for the closure ``Pomset`` stores: Warshall's closure on an
+    (n+1)^2 Boolean reach matrix. The set strictly below each of 0..n
+    (0 unused), or None when some element reaches itself."""
+    reach = [[False] * (n + 1) for _ in range(n + 1)]
+    for i, j in relations:
+        reach[i][j] = True
+    for k in range(1, n + 1):
         for i in range(1, n + 1):
-            if counts[i - 1] > 0:
-                if any(counts[j - 1] != h for j in pomset.strictly_below(i)):
-                    ok = False
-                    break
-        if ok:
-            out.append(counts)
-    return out
+            if reach[i][k]:
+                for j in range(1, n + 1):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    if any(reach[i][i] for i in range(1, n + 1)):
+        return None
+    return [frozenset(i for i in range(1, n + 1) if reach[i][j]) for j in range(n + 1)]
+
+
+def is_ideal_by_law(pomset: pb.Pomset, counts) -> bool:
+    """Oracle for ``Pomset.is_ideal``: a positive count at i forces the
+    full height on every element strictly below i."""
+    h = pomset.height
+    return all(counts[j - 1] == h
+               for i, c in enumerate(counts, 1) if c > 0
+               for j in pomset.strictly_below(i))
+
+
+def cover_pairs_by_scan(pomset: pb.Pomset) -> list[tuple[int, int]]:
+    """Oracle for ``Pomset.cover_pairs``: each related pair with no third
+    element strictly between, found by trying every element."""
+    return [(i, j) for i, j in sorted(pomset.relation)
+            if not any(pomset.is_below(i, k) and pomset.is_below(k, j)
+                       for k in range(1, pomset.n + 1))]
+
+
+def is_chain_by_pairs(pomset: pb.Pomset) -> bool:
+    """Oracle for ``Pomset.is_chain``: every two elements are comparable."""
+    return all(pomset.is_below(i, j) or pomset.is_below(j, i)
+               for i in range(1, pomset.n + 1) for j in range(i + 1, pomset.n + 1))
+
+
+def maximal_root_by_above(ideal: pb.Ideal) -> frozenset[int]:
+    """Oracle for ``Ideal.maximal_root``: root elements with no root
+    element strictly above them."""
+    root = ideal.root_set
+    return frozenset(i for i in root if not ideal.pomset.strictly_above(i) & root)
 
 
 def random_vector(space: pb.BlockSpace, rng) -> pb.BlockVector:

@@ -16,6 +16,7 @@ from pomsetblock import (
     SpaceTooLarge,
     antichain_space,
     chain_space,
+    construct_perfect_full,
     construct_perfect_partial,
     full_count_structure,
     i_ball,
@@ -25,6 +26,7 @@ from pomsetblock import (
     i_sphere_size,
     nonlinearity_witness,
     parse_ideal,
+    perp_duality_report,
     r_ball,
     r_ball_coords,
     r_ball_size,
@@ -268,9 +270,12 @@ def test_down_set_sums_match_the_brute_filter(config):
     nonlinearity_witness,
     lambda sp, ideal: verify_perfect(Code(sp, [sp.zero()]), ideal=ideal),
     construct_perfect_partial,
+    construct_perfect_full,
+    lambda sp, ideal: perp_duality_report(Code(sp, [sp.zero()]), ideal),
 ], ids=["i_ball_coords", "i_sphere_size", "i_ball_size",
         "i_ball_size_enumerated", "full_count_structure",
-        "nonlinearity_witness", "verify_perfect", "construct_perfect_partial"])
+        "nonlinearity_witness", "verify_perfect", "construct_perfect_partial",
+        "construct_perfect_full", "perp_duality_report"])
 def test_an_ideal_of_another_order_is_rejected(entry):
     # on the 3-block chain: an ideal of the 3-block antichain, which is no
     # ideal of the chain, and an ideal of a 2-block chain

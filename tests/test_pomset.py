@@ -1,6 +1,7 @@
 """Pomsets and ideals: construction, generation, duality, enumeration."""
 
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,15 @@ from pomsetblock import (
     Pomset,
 )
 
-from helpers import brute_force_ideal_vectors, five_pomset
+from helpers import (
+    brute_force_ideal_vectors,
+    closure_by_matrix,
+    cover_pairs_by_scan,
+    five_pomset,
+    is_chain_by_pairs,
+    is_ideal_by_law,
+    maximal_root_by_above,
+)
 
 
 def ms(text, n=5, h=3):
@@ -295,3 +304,44 @@ def test_sub_ideals_of_every_size_exist(config, data):
     s = data.draw(st.integers(0, ideal.cardinality))
     j = ideal.shrink(s)
     assert j.cardinality == s and j.counts.is_submset(ideal.counts)
+
+
+@st.composite
+def relabelled_relations(draw):
+    """A relation on at most 8 elements at height at most 3: forward pairs
+    i < j, relabelled by a random permutation, plus up to two reversed
+    pairs, which close a cycle when the forward pairs already join them."""
+    n = draw(st.integers(1, 8))
+    forward = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = draw(st.lists(st.sampled_from(forward), max_size=10)) if forward else []
+    back = draw(st.lists(st.sampled_from(forward), max_size=2)) if forward else []
+    perm = draw(st.permutations(range(1, n + 1)))
+    relation = [(perm[i - 1], perm[j - 1]) for i, j in pairs]
+    relation += [(perm[j - 1], perm[i - 1]) for i, j in back]
+    return n, draw(st.integers(1, 3)), relation
+
+
+@given(relabelled_relations())
+@settings(max_examples=300, deadline=None)
+def test_every_order_fact_matches_its_oracle(config):
+    n, h, relation = config
+    below = closure_by_matrix(n, relation)
+    if below is None:
+        with pytest.raises(CycleDetected, match="lies strictly below itself"):
+            Pomset(n, h, relation)
+        return
+    p = Pomset(n, h, relation)
+    for i in range(1, n + 1):
+        assert p.strictly_below(i) == below[i]
+        assert p.strictly_above(i) == {j for j in range(1, n + 1) if i in below[j]}
+    assert p.relation == {(i, j) for j in range(1, n + 1) for i in below[j]}
+    assert p.is_chain() == is_chain_by_pairs(p)
+    assert p.cover_pairs() == cover_pairs_by_scan(p)
+    if n > 5:
+        return
+    for counts in product(range(h + 1), repeat=n):
+        mset = Multiset(n, h, counts)
+        assert p.is_ideal(mset) == is_ideal_by_law(p, counts)
+        if p.is_ideal(mset):
+            ideal = Ideal(p, mset)
+            assert ideal.maximal_root() == maximal_root_by_above(ideal)
