@@ -62,7 +62,6 @@ from .balls import (
 from .weight_dist import (
     WeightDistribution,
     block_shell_size_enumerated,
-    chain_shell_size,
     weight_distribution,
     weight_distribution_enumerated,
 )
@@ -84,6 +83,7 @@ from .chain import (
     block_repetition_code,
     chain_elements,
     chain_prefix_ideal,
+    chain_shell_size,
     duality_equivalence,
     is_mds,
     mds_iperfect_bridge,

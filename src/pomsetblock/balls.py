@@ -117,7 +117,7 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
 
     with B_i(x) = sum_c block_shell_size(m, k_i, c) x^c. The set ideals
     are the ideals of the block order at height 1. The n*h + 1
-    coefficients count against the space's cap.
+    coefficients and the set ideals each count against the space's cap.
     """
     m, h = space.m, space.max_lee
     if space.n * h + 1 > space.cap:
@@ -128,7 +128,7 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
     nonzero = {k: [0] + [block_shell_size(m, k, c) for c in range(1, h + 1)]
                for k in set(space.pi)}
     enumerator = [0] * (space.n * h + 1)
-    for ideal in Pomset(space.n, 1, space.pomset.relation).ideals():
+    for ideal in Pomset(space.n, 1, space.pomset.relation).ideals(limit=space.cap):
         root, maximal = ideal.root_set, ideal.maximal_root()
         term = [m ** sum(space.pi[i - 1] for i in root - maximal)]
         for i in maximal:

@@ -39,30 +39,24 @@ def block_max_lee(block, m: int) -> int:
 
 
 def lee_shell_size(m: int, r: int) -> int:
-    """Number of residues mod m with Lee weight exactly r."""
+    """Number of residues mod m with Lee weight exactly r (blocks of one)."""
     if not 0 <= r <= m // 2:
         raise ValueError(f"Lee weight {r} outside 0..{m // 2}")
-    if r == 0:
-        return 1
-    if m % 2 == 0 and r == m // 2:
-        return 1
-    return 2
+    return block_shell_size(m, 1, r)
 
 
 def block_shell_size(m: int, k: int, r: int) -> int:
     """Number of blocks in Z_m^k with maximum Lee weight exactly r.
 
-    r = 0 counts only the zero block. For r >= 1 the count is
-    (2r - 1 + |shell_r|)^k - (2r - 1)^k, which covers the top shell
-    r = floor(m/2) for both parities of m.
+    The residues within Lee distance r of an entry number min(2r + 1, m),
+    so the blocks within r less those within r - 1 give
+    min(2r + 1, m)^k - max(2r - 1, 0)^k, for either parity of m.
     """
     if k < 1:
         raise ValueError("block length must be positive")
     if not 0 <= r <= m // 2:
         raise ValueError(f"weight {r} outside 0..{m // 2}")
-    if r == 0:
-        return 1
-    return (2 * r - 1 + lee_shell_size(m, r)) ** k - (2 * r - 1) ** k
+    return min(2 * r + 1, m) ** k - max(2 * r - 1, 0) ** k
 
 
 def _translate_row(x, m: int, scale: int) -> list[int]:
@@ -139,8 +133,12 @@ class BlockSpace:
         return BlockVector(self, tuple(coords))
 
     def _reduce(self, coords) -> tuple[int, ...]:
-        """``coords`` checked for length N and reduced mod m: the coordinates
-        of ``self.vector(coords)``, without the vector."""
+        """``self.vector(coords).coords`` without the vector: ``coords`` checked
+        for length N and reduced mod m, or a vector's own if it is of this space."""
+        if isinstance(coords, BlockVector):
+            if coords.space != self:
+                raise SpaceMismatch("codeword from a different space")
+            return coords.coords
         coords = tuple(coords)
         if len(coords) != self.N:
             raise DimensionMismatch(
@@ -269,7 +267,8 @@ class BlockSpace:
         for row in rows:
             if row in words:
                 continue
-            multiples = [tuple(c * x % m for x in row) for c in range(1, m)]
+            top = min(m, limit + 1)  # past ``limit`` multiples it is too large
+            multiples = [tuple(c * x % m for x in row) for c in range(1, top)]
             grown = set(words)
             for w in words:
                 for step in multiples:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balls import r_ball_coords
+from .balls import i_sphere_size, r_ball_coords
 from .block_space import BlockSpace, chain_space
 from .codes import Code, dual_code, verify_perfect
 from .errors import (
@@ -44,6 +44,13 @@ def chain_prefix_ideal(pomset: Pomset, card: int) -> Ideal:
     if rest:
         counts[order[full] - 1] = rest
     return Ideal(pomset, Multiset(pomset.n, h, tuple(counts)))
+
+
+def chain_shell_size(space: BlockSpace, r: int) -> int:
+    """Shell count over a chain order: a chain has one ideal of each
+    cardinality, so shell r is the I-sphere of :func:`chain_prefix_ideal`."""
+    space.check_weight(r, "weight")
+    return i_sphere_size(space, chain_prefix_ideal(space.pomset, r))
 
 
 def _ceil_log(m: int, size: int) -> int:

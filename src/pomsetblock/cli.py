@@ -35,7 +35,6 @@ from .fileio import (
 )
 from .weight_dist import (
     block_shell_size_enumerated,
-    chain_shell_size,
     weight_distribution,
     weight_distribution_enumerated,
 )
@@ -52,7 +51,7 @@ def _cmd_weight(space, args) -> int:
 
 
 def _cmd_ideals(space, args) -> int:
-    for ideal in space.pomset.ideals_of_cardinality(args.card):
+    for ideal in space.pomset.ideals_of_cardinality(args.card, limit=space.cap):
         print(ideal.counts.literal())
     return 0
 
@@ -246,7 +245,7 @@ def _cmd_selftest(space, args) -> int:
     # chain closed forms
     if space.pomset.is_chain():
         for r in range(top + 1):
-            f = chain_shell_size(space, r)
+            f = chain_ops.chain_shell_size(space, r)
             o = by_weight[r]
             rows.append(("chain-shells", f"r={r}", f, o, f == o))
 

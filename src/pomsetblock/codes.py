@@ -30,14 +30,7 @@ class Code:
     __slots__ = ("space", "words", "_coord_set", "_linear")
 
     def __init__(self, space: BlockSpace, codewords):
-        coords = set()
-        for w in codewords:
-            if isinstance(w, BlockVector):
-                if w.space != space:
-                    raise SpaceMismatch("codeword from a different space")
-                coords.add(w.coords)
-            else:
-                coords.add(space._reduce(w))
+        coords = {space._reduce(w) for w in codewords}
         if not coords:
             raise ValueError("a code must contain at least one word")
         self.space = space
@@ -51,8 +44,7 @@ class Code:
 
         Raises ``SpaceTooLarge`` as soon as the span passes the space's cap.
         """
-        gens = [space._reduce(r.coords if isinstance(r, BlockVector) else r)
-                for r in rows]
+        gens = [space._reduce(r) for r in rows]
         words = space.span(gens, space.cap)
         if len(words) > space.cap:
             raise SpaceTooLarge(
@@ -78,8 +70,7 @@ class Code:
         return (BlockVector(self.space, w) for w in self.words)
 
     def __contains__(self, v) -> bool:
-        coords = v.coords if isinstance(v, BlockVector) else self.space._reduce(v)
-        return coords in self._coord_set
+        return self.space._reduce(v) in self._coord_set
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,34 +187,33 @@ def construct_perfect_full(space: BlockSpace, ideal: Ideal) -> Code:
 
 def construct_perfect_partial(space: BlockSpace, ideal: Ideal) -> Code:
     """Perfect-code centers for any ideal: every vector whose block i
-    entries come from the residues allowed on block i.
-
-    Blocks with a full count are pinned to zero; a block with partial
-    count t draws every coordinate from the multiples of 2t+1 (which
-    requires (2t+1) | m); blocks off the root are free.
+    entries are the m // s multiples of a step s, counted against the cap
+    before any is listed. Blocks with a full count are pinned to zero
+    (s = m); a block with partial count t takes the multiples of 2t+1
+    (which requires (2t+1) | m); blocks off the root are free (s = 1).
     """
     space.check_ideal(ideal)
     m = space.m
-    per_coord = []
+    steps = []
     size = 1
     for i in range(1, space.n + 1):
         t = ideal.count(i)
         if t == 0:
-            allowed = tuple(range(m))
+            step = 1
         elif t == space.max_lee:
-            allowed = (0,)
+            step = m
         elif m % (2 * t + 1):
             raise DivisibilityFails(i, t, m)
         else:
-            allowed = tuple(range(0, m, 2 * t + 1))
+            step = 2 * t + 1
         k = space.pi[i - 1]
-        size *= len(allowed) ** k
-        per_coord += [allowed] * k
+        size *= (m // step) ** k
+        steps += [step] * k
     if size > space.cap:
         raise SpaceTooLarge(
             f"construction would emit {size} codewords, above the cap {space.cap}"
         )
-    return Code(space, product(*per_coord))
+    return Code(space, product(*[range(0, m, step) for step in steps]))
 
 
 def dual_code(code: Code) -> Code:

@@ -9,7 +9,7 @@ element strictly below it.
 
 from __future__ import annotations
 
-from .errors import CycleDetected, DimensionMismatch, NotAnIdeal
+from .errors import CycleDetected, DimensionMismatch, NotAnIdeal, SpaceTooLarge
 from .multiset import Multiset
 
 
@@ -143,17 +143,19 @@ class Pomset:
         return Ideal(self, Multiset(self.n, self.height,
                                     self.generated_counts(mset.counts)))
 
-    def ideals_of_cardinality(self, t: int) -> list[Ideal]:
-        """All ideals of total count ``t``, in lexicographic count order."""
+    def ideals_of_cardinality(self, t: int, limit: int | None = None) -> list[Ideal]:
+        """All ideals of total count ``t``, in lexicographic count order;
+        ``limit`` as in :meth:`ideals`."""
         if not 0 <= t <= self.n * self.height:
             raise ValueError(f"cardinality {t} outside 0..{self.n * self.height}")
         return [Ideal(self, Multiset(self.n, self.height, counts))
-                for counts in self._ideal_vectors(t)]
+                for counts in self._ideal_vectors(t, limit)]
 
-    def ideals(self) -> list[Ideal]:
-        """Every ideal, in lexicographic count order."""
+    def ideals(self, limit: int | None = None) -> list[Ideal]:
+        """Every ideal, in lexicographic count order; more than ``limit`` of
+        them (no bound by default) raise ``SpaceTooLarge``."""
         return [Ideal(self, Multiset(self.n, self.height, counts))
-                for counts in self._ideal_vectors(None)]
+                for counts in self._ideal_vectors(None, limit)]
 
     def ideals_by_maximal_count(self, t: int, j: int) -> list[Ideal]:
         """The ideals of cardinality ``t`` whose root set has exactly ``j``
@@ -163,32 +165,44 @@ class Pomset:
         return [ideal for ideal in self.ideals_of_cardinality(t)
                 if len(ideal.maximal_root()) == j]
 
-    def _ideal_vectors(self, t: int | None) -> list[tuple[int, ...]]:
-        # Assign counts along a linear extension; an element may be positive
-        # only when everything strictly below it is already at full height.
+    def _ideal_vectors(self, t: int | None, limit: int | None) -> list[tuple[int, ...]]:
+        # Assign counts along a linear extension; a count short of h holds
+        # every element above it at 0. The ``free`` elements still to come
+        # can add any total in 0..h*free, so a count is tried only if t stays
+        # reachable: every branch ends in an ideal, and ``limit`` bounds them.
         order = self.linear_extension()
-        h, n = self.height, self.n
+        h, n, above = self.height, self.n, self._above
         counts = [0] * n
+        blocked = [0] * (n + 1)  # the short counts below each element
         out: list[tuple[int, ...]] = []
 
-        def rec(pos: int, total: int) -> None:
-            if t is not None:
-                if total > t or total + h * (n - pos) < t:
-                    return
+        def rec(pos: int, total: int, free: int) -> None:
             if pos == n:
-                if t is None or total == t:
-                    out.append(tuple(counts))
+                out.append(tuple(counts))
+                if limit is not None and len(out) > limit:
+                    raise SpaceTooLarge(f"more than {limit} ideals to enumerate")
                 return
             i = order[pos]
-            top = h if all(counts[j - 1] == h for j in self._below[i]) else 0
+            if blocked[i]:
+                return rec(pos + 1, total, free)
+            rest = short = free - 1
+            for j in above[i]:
+                short -= not blocked[j]
+                blocked[j] += 1
+            lo, hi = 0, h - 1
             if t is not None:
-                top = min(top, t - total)  # a larger count overshoots t
-            for c in range(top + 1):
+                lo, hi = max(0, t - total - h * short), min(h - 1, t - total)
+            for c in range(lo, hi + 1):
                 counts[i - 1] = c
-                rec(pos + 1, total + c)
+                rec(pos + 1, total + c, short)
+            for j in above[i]:
+                blocked[j] -= 1
+            if t is None or h <= t - total <= h * free:
+                counts[i - 1] = h
+                rec(pos + 1, total + h, rest)
             counts[i - 1] = 0
 
-        rec(0, 0)
+        rec(0, 0, n)
         out.sort()
         return out
 

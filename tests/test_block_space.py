@@ -68,6 +68,16 @@ class TestConstruction:
         b = antichain_space(5, (1, 1)).zero()
         with pytest.raises(SpaceMismatch):
             a + b
+        # a code takes only vectors of its own space, however they enter
+        z5, z7 = chain_space(5, (1, 1)), chain_space(7, (1, 1))
+        for enter in (lambda: Code(z5, [z7.vector((6, 3))]),
+                      lambda: Code.from_generators(z5, [z7.vector((6, 3))]),
+                      lambda: z7.vector((1, 3)) in Code(z5, [(1, 3), (0, 0)])):
+            with pytest.raises(SpaceMismatch, match="codeword from a different space"):
+                enter()
+        # a vector of an equal space is a vector of this one
+        assert chain_space(5, (1, 1)).vector((6, 3)) in Code.from_generators(
+            z5, [z5.vector((1, 3))])
 
     def test_enumeration_guard(self):
         sp = chain_space(5, (1, 1))

@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -58,6 +59,15 @@ class TestIdeals:
         assert sorted(lines) == sorted(["3/1", "3/2", "2/1 1/2", "1/1 2/2"])
 
 
+    def test_cap_bounds_the_ideal_walk(self, capsys, tmp_path):
+        # a 40-block ternary antichain has C(40, 20) ideals of cardinality 20
+        p = tmp_path / "anti40.space"
+        p.write_text("m 3\nblocks" + " 1" * 40 + "\n")
+        code, out, err = run(capsys, "--cap", "1000", "ideals", str(p), "--card", "20")
+        assert (code, out) == (2, "")
+        assert err == "pomsetblock: more than 1000 ideals to enumerate\n"
+
+
 class TestBallsize:
     def test_formula_and_enumeration_agree(self, capsys, small):
         for extra in ([], ["--enumerate"], ["--enumerate", "--center", "3 1"]):
@@ -99,6 +109,18 @@ class TestWdist:
             assert lines[-1] == "# total 25"
             rows = [tuple(map(int, l.split("\t"))) for l in lines[:-1]]
             assert rows == [(0, 1), (1, 2), (2, 2), (3, 10), (4, 10)]
+
+
+    def test_cap_bounds_the_set_ideal_walk(self, capsys, tmp_path):
+        # a 12-block binary antichain has 2^12 = 4096 set ideals
+        p = tmp_path / "anti12.space"
+        p.write_text("m 2\nblocks" + " 1" * 12 + "\n")
+        code, out, err = run(capsys, "--cap", "1000", "wdist", str(p))
+        assert (code, out) == (2, "")
+        assert err == "pomsetblock: more than 1000 ideals to enumerate\n"
+        code, out, err = run(capsys, "--cap", "5000", "wdist", str(p))
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{r}\t{comb(12, r)}\n" for r in range(13)) + "# total 4096\n"
 
 
 class TestPerfect:

@@ -226,6 +226,11 @@ class TestPerfectPartial:
             construct_perfect_partial(capped, parse_ideal(capped, "500/2"))
         with pytest.raises(DivisibilityFails):
             construct_perfect_partial(capped, parse_ideal(capped, "2/2"))
+        # m = 10^30 + 1: the free block 2 alone has more residues than any
+        # list can hold, so they are counted, not listed
+        huge = antichain_space(10**30 + 1, (1, 1))
+        with pytest.raises(SpaceTooLarge, match=r"10{29}1 codewords, above the cap"):
+            construct_perfect_partial(huge, parse_ideal(huge, f"{huge.max_lee}/1"))
 
     def test_centers_alone_are_disjoint(self):
         # the partial-block centers give disjoint balls even before the

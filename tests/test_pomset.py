@@ -13,6 +13,7 @@ from pomsetblock import (
     Multiset,
     NotAnIdeal,
     Pomset,
+    SpaceTooLarge,
 )
 
 from helpers import (
@@ -215,6 +216,34 @@ class TestEnumeration:
         got = [i.counts.counts for i in p.ideals_of_cardinality(3)]
         assert time.perf_counter() - started < 2
         assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]
+
+    def test_no_count_is_tried_that_cannot_make_up_t(self):
+        # height 10^30: below t, a count short of the height on 1 or 2
+        # holds 3 at zero, so only counts the rest can still complete run
+        h = 10**30
+        for pairs, n, t, want in [
+            ([(1, 2)], 2, 2 * h - 1, [(h, h - 1)]),
+            ([(1, 3), (2, 3)], 3, 2 * h + 1, [(h, h, 1)]),
+            ([], 2, 2 * h - 1, [(h - 1, h), (h, h - 1)]),
+        ]:
+            started = time.perf_counter()
+            got = [i.counts.counts for i in Pomset(n, h, pairs).ideals_of_cardinality(t)]
+            assert time.perf_counter() - started < 2
+            assert got == want
+
+    def test_limit_bounds_the_ideals_collected(self):
+        p = Pomset(12, 1)  # 2^12 ideals, C(12, 6) = 924 of cardinality 6
+        assert len(p.ideals(limit=4096)) == len(p.ideals()) == 4096
+        with pytest.raises(SpaceTooLarge, match="more than 4095 ideals"):
+            p.ideals(limit=4095)
+        assert len(p.ideals_of_cardinality(6, limit=924)) == 924
+        with pytest.raises(SpaceTooLarge, match="more than 923 ideals"):
+            p.ideals_of_cardinality(6, limit=923)
+        # C(40, 20) ideals to list: refused after the first 1001
+        started = time.perf_counter()
+        with pytest.raises(SpaceTooLarge):
+            Pomset(40, 1).ideals_of_cardinality(20, limit=1000)
+        assert time.perf_counter() - started < 2
 
     def test_antichain_singletons(self):
         p = Pomset(4, 2)

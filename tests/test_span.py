@@ -38,6 +38,14 @@ def test_span_matches_odometer(case):
     assert len(part) > limit and part <= want
 
 
+def test_a_row_of_huge_order_stops_at_the_limit():
+    # m = 10^30: the row's m - 1 multiples could never all be listed
+    space = antichain_space(10**30, (1, 1))
+    assert len(space.span([(1, 0)], 1000)) == 1001
+    half = 10**30 // 2  # a row of order 2 keeps its whole span
+    assert space.span([(half, 0)], 1000) == {(0, 0), (half, 0)}
+
+
 def test_no_rows_span_the_zero_code():
     space = antichain_space(5, (2, 1))
     code = Code.from_generators(space, [])
