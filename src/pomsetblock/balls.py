@@ -16,7 +16,7 @@ from operator import add
 
 from .block_space import BlockSpace, BlockVector, block_shell_size
 from .errors import NotFullCount, SpaceTooLarge
-from .pomset import Ideal, Pomset
+from .pomset import Ideal
 
 
 def i_ball_coords(center: BlockVector, ideal: Ideal) -> list[tuple[int, ...]]:
@@ -116,8 +116,8 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
                                   * prod_{i in Max J} (B_i(x) - 1),
 
     with B_i(x) = sum_c block_shell_size(m, k_i, c) x^c. The set ideals
-    are the ideals of the block order at height 1. The n*h + 1
-    coefficients and the set ideals each count against the space's cap.
+    are the ideals of the block order at height 1. The n*h + 1 coefficients
+    and the set ideals, at n each, count against the space's cap.
     """
     m, h = space.m, space.max_lee
     if space.n * h + 1 > space.cap:
@@ -128,12 +128,13 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
     nonzero = {k: [0] + [block_shell_size(m, k, c) for c in range(1, h + 1)]
                for k in set(space.pi)}
     enumerator = [0] * (space.n * h + 1)
-    for ideal in Pomset(space.n, 1, space.pomset.relation).ideals(limit=space.cap):
-        root, maximal = ideal.root_set, ideal.maximal_root()
-        term = [m ** sum(space.pi[i - 1] for i in root - maximal)]
-        for i in maximal:
+    for counts in space.pomset.ideal_vectors(1, limit=space.cap // space.n):
+        root = {i for i, c in enumerate(counts, 1) if c}
+        inner = space.pomset.strictly_below_set(root)  # root less its maximal elements
+        term = [m ** sum(space.pi[i - 1] for i in inner)]
+        for i in root - inner:
             term = _poly_mul(term, nonzero[space.pi[i - 1]])
-        shift = h * (len(root) - len(maximal))
+        shift = h * len(inner)
         for c, a in enumerate(term):
             enumerator[shift + c] += a
     return tuple(enumerator)

@@ -346,8 +346,7 @@ class BlockVector:
 
     def poset_weight(self) -> int:
         """Number of block positions in the down-set of the nonzero blocks."""
-        root = {i for i, c in enumerate(self._profile(), 1) if c}
-        return len(root | self.space.pomset.strictly_below_set(root))
+        return sum(1 for c in self.space.pomset.generated_counts(self._profile()) if c)
 
     def literal(self) -> str:
         return " ".join(str(x) for x in self.coords)

@@ -51,7 +51,7 @@ def _cmd_weight(space, args) -> int:
 
 
 def _cmd_ideals(space, args) -> int:
-    for ideal in space.pomset.ideals_of_cardinality(args.card, limit=space.cap):
+    for ideal in space.pomset.ideals_of_cardinality(args.card, limit=space.cap // space.n):
         print(ideal.counts.literal())
     return 0
 

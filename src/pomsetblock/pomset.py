@@ -17,12 +17,12 @@ class Pomset:
     """An immutable strict partial order on {1..n} with a height.
 
     ``relations`` is any iterable of pairs ``(i, j)`` meaning *i strictly
-    below j* (1-based). The transitive closure is built once, as the set
-    of elements strictly below each element, and every order or ideal
-    fact is read off it; a cycle in the closure is a construction error.
+    below j* (1-based). Its transitive closure is kept as bitmasks, bit i of
+    ``_below[j]`` set iff i is strictly below j, and ``_above`` their
+    transpose; a cycle is a construction error.
     """
 
-    __slots__ = ("n", "height", "_below", "_above", "_pairs", "_dual")
+    __slots__ = ("n", "height", "_below", "_above", "_dual")
 
     def __init__(self, n: int, height: int, relations=()):
         if n < 1:
@@ -32,74 +32,80 @@ class Pomset:
         self.n = n
         self.height = height
 
-        below = [set() for _ in range(n + 1)]
+        preds = [[] for _ in range(n + 1)]
+        succs = [[] for _ in range(n + 1)]
         for i, j in relations:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
             if i == j:
                 raise ValueError(f"pair ({i}, {i}) relates an element to itself")
-            below[j].add(i)
-        # Warshall (J. ACM 9, 1962): after step k each set holds every
-        # element that reaches its owner through intermediates from 1..k
-        for k in range(1, n + 1):
-            for down in below:
-                if k in down:
-                    down |= below[k]
-        for i in range(1, n + 1):
-            if i in below[i]:
-                raise CycleDetected(f"element {i} lies strictly below itself")
-
-        self._below = tuple(frozenset(down) for down in below)
-        self._above = tuple(frozenset(j for j in range(1, n + 1) if i in below[j])
-                            for i in range(n + 1))
-        self._pairs = frozenset((i, j) for j in range(1, n + 1) for i in below[j])
+            preds[j].append(i)
+            succs[i].append(j)
+        # Kahn (CACM 5, 1962): an element joins once its direct predecessors have
+        below = [0] * (n + 1)
+        waiting = [len(p) for p in preds]
+        order = [j for j in range(1, n + 1) if not waiting[j]]
+        for i in order:  # also visits what the loop appends
+            for j in succs[i]:
+                below[j] |= below[i] | 1 << i
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        if len(order) < n:
+            # stepping back through left-over predecessors revisits a cycle
+            i = next(j for j, w in enumerate(waiting) if w)
+            while waiting[i] > 0:
+                waiting[i] = -1  # seen
+                i = next(p for p in preds[i] if waiting[p])
+            raise CycleDetected(f"element {i} lies strictly below itself")
+        above = [0] * (n + 1)
+        for i in reversed(order):
+            for j in succs[i]:
+                above[i] |= above[j] | 1 << j
+        self._below = tuple(below)
+        self._above = tuple(above)
         self._dual = None
 
     # ----- the order ------------------------------------------------------
 
     def is_below(self, i: int, j: int) -> bool:
         """True iff ``i`` is strictly below ``j``."""
-        return i in self._below[j]
-
-    def strictly_below(self, i: int) -> frozenset[int]:
-        return self._below[i]
-
-    def strictly_above(self, i: int) -> frozenset[int]:
-        return self._above[i]
+        return bool(self._below[j] >> i & 1)
 
     def strictly_below_set(self, elements) -> set[int]:
         """Elements strictly below some member of ``elements``; with the
         members themselves this is their down-set."""
-        down: set[int] = set()
+        down = 0
         for i in elements:
             down |= self._below[i]
-        return down
+        return {i for i in range(1, down.bit_length()) if down >> i & 1}
 
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
         """All strict pairs ``(i, j)`` with i below j, transitively closed."""
-        return self._pairs
+        return frozenset((i, j) for j in range(1, self.n + 1)
+                         for i in self.strictly_below_set([j]))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """The transitive reduction, sorted; empty for an antichain: the
         related pairs with no element strictly between them."""
-        return sorted((i, j) for i, j in self._pairs
+        return sorted((i, j) for i, j in self.relation
                       if not self._above[i] & self._below[j])
 
     def dual(self) -> Pomset:
         """Same elements and height, order reversed; an involution."""
         if self._dual is None:
-            d = Pomset(self.n, self.height, [(j, i) for i, j in self._pairs])
-            d._dual = self
-            self._dual = d
+            d = Pomset.__new__(Pomset)
+            d.n, d.height, d._dual = self.n, self.height, self
+            d._below, d._above, self._dual = self._above, self._below, d
         return self._dual
 
     def is_chain(self) -> bool:
         # a strict order relates each of the n(n-1)/2 pairs at most once
-        return len(self._pairs) == self.n * (self.n - 1) // 2
+        return sum(map(int.bit_count, self._below)) == self.n * (self.n - 1) // 2
 
     def is_antichain(self) -> bool:
-        return not self._pairs
+        return not any(self._below)
 
     def maximal_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if not self._above[i])
@@ -108,10 +114,9 @@ class Pomset:
         return tuple(i for i in range(1, self.n + 1) if not self._below[i])
 
     def linear_extension(self) -> tuple[int, ...]:
-        # in a transitively closed order, i below j implies |below(i)| < |below(j)|
-        return tuple(
-            sorted(range(1, self.n + 1), key=lambda i: (len(self._below[i]), i))
-        )
+        # i below j makes below(i) a proper subset of below(j)
+        return tuple(sorted(range(1, self.n + 1),
+                            key=lambda i: self._below[i].bit_count()))
 
     # ----- multisets and ideals --------------------------------------------
 
@@ -130,10 +135,15 @@ class Pomset:
 
     def generated_counts(self, counts) -> tuple[int, ...]:
         """Closure of a raw count sequence (index 0 holds element 1)."""
-        h = self.height
+        down = 0
+        for i, c in enumerate(counts, 1):
+            if c:
+                down |= self._below[i]
         gen = list(counts)
-        for j in self.strictly_below_set([i for i, c in enumerate(counts, 1) if c]):
-            gen[j - 1] = h
+        while down:
+            low = down & -down  # the lowest element left, i, sits at index i - 1
+            gen[low.bit_length() - 2] = self.height
+            down ^= low
         return tuple(gen)
 
     def ideal_generated(self, mset: Multiset) -> Ideal:
@@ -149,13 +159,13 @@ class Pomset:
         if not 0 <= t <= self.n * self.height:
             raise ValueError(f"cardinality {t} outside 0..{self.n * self.height}")
         return [Ideal(self, Multiset(self.n, self.height, counts))
-                for counts in self._ideal_vectors(t, limit)]
+                for counts in sorted(self.ideal_vectors(self.height, t, limit))]
 
     def ideals(self, limit: int | None = None) -> list[Ideal]:
         """Every ideal, in lexicographic count order; more than ``limit`` of
         them (no bound by default) raise ``SpaceTooLarge``."""
         return [Ideal(self, Multiset(self.n, self.height, counts))
-                for counts in self._ideal_vectors(None, limit)]
+                for counts in sorted(self.ideal_vectors(self.height, None, limit))]
 
     def ideals_by_maximal_count(self, t: int, j: int) -> list[Ideal]:
         """The ideals of cardinality ``t`` whose root set has exactly ``j``
@@ -165,59 +175,49 @@ class Pomset:
         return [ideal for ideal in self.ideals_of_cardinality(t)
                 if len(ideal.maximal_root()) == j]
 
-    def _ideal_vectors(self, t: int | None, limit: int | None) -> list[tuple[int, ...]]:
-        # Assign counts along a linear extension; a count short of h holds
-        # every element above it at 0. The ``free`` elements still to come
-        # can add any total in 0..h*free, so a count is tried only if t stays
-        # reachable: every branch ends in an ideal, and ``limit`` bounds them.
-        order = self.linear_extension()
-        h, n, above = self.height, self.n, self._above
+    def ideal_vectors(self, h: int, t: int | None = None, limit: int | None = None):
+        """Yield the counts of each ideal at height ``h`` (1: the set ideals),
+        of total ``t`` if given, in walk order; past ``limit`` raise SpaceTooLarge."""
+        n, above, order = self.n, self._above, self.linear_extension()
         counts = [0] * n
-        blocked = [0] * (n + 1)  # the short counts below each element
-        out: list[tuple[int, ...]] = []
-
-        def rec(pos: int, total: int, free: int) -> None:
+        found = 0
+        # an entry writes count c at position pos of the linear extension, then
+        # goes on with the total, the elements still free and those a count
+        # short of h holds at 0; a count is tried only if t stays reachable
+        stack = [(-1, 0, 0, n, 0)]  # a write that position n - 1 overwrites
+        while stack:
+            pos, c, total, free, held = stack.pop()
+            counts[order[pos] - 1] = c
+            pos += 1
+            while pos < n and held >> order[pos] & 1:
+                counts[order[pos] - 1] = 0
+                pos += 1
             if pos == n:
-                out.append(tuple(counts))
-                if limit is not None and len(out) > limit:
+                found += 1
+                if limit is not None and found > limit:
                     raise SpaceTooLarge(f"more than {limit} ideals to enumerate")
-                return
+                yield tuple(counts)
+                continue
             i = order[pos]
-            if blocked[i]:
-                return rec(pos + 1, total, free)
-            rest = short = free - 1
-            for j in above[i]:
-                short -= not blocked[j]
-                blocked[j] += 1
-            lo, hi = 0, h - 1
-            if t is not None:
-                lo, hi = max(0, t - total - h * short), min(h - 1, t - total)
-            for c in range(lo, hi + 1):
-                counts[i - 1] = c
-                rec(pos + 1, total + c, short)
-            for j in above[i]:
-                blocked[j] -= 1
             if t is None or h <= t - total <= h * free:
-                counts[i - 1] = h
-                rec(pos + 1, total + h, rest)
-            counts[i - 1] = 0
-
-        rec(0, 0, n)
-        out.sort()
-        return out
+                stack.append((pos, h, total + h, free - 1, held))
+            short = free - 1 - (above[i] & ~held).bit_count()
+            lo = 0 if t is None else max(0, t - total - h * short)
+            hi = h - 1 if t is None else min(h - 1, t - total)
+            for c in range(hi, lo - 1, -1):
+                stack.append((pos, c, total + c, short, held | above[i]))
 
     # ----- housekeeping ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Pomset)
-            and self.n == other.n
+            isinstance(other, Pomset)  # n is the length of ``_below`` less one
             and self.height == other.height
-            and self._pairs == other._pairs
+            and self._below == other._below
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.height, self._pairs))
+        return hash((self.n, self.height, self._below))
 
     def __repr__(self) -> str:
         rel = " ".join(f"{i}<{j}" for i, j in self.cover_pairs())

@@ -273,10 +273,10 @@ def brute_force_ideal_vectors(pomset: pb.Pomset) -> list[tuple[int, ...]]:
             if is_ideal_by_law(pomset, counts)]
 
 
-def closure_by_matrix(n: int, relations) -> list[frozenset[int]] | None:
+def closure_by_matrix(n: int, relations) -> list[frozenset[int]]:
     """Oracle for the closure ``Pomset`` stores: Warshall's closure on an
-    (n+1)^2 Boolean reach matrix. The set strictly below each of 0..n
-    (0 unused), or None when some element reaches itself."""
+    (n+1)^2 Boolean reach matrix. The set of elements that reach each of
+    0..n (0 unused); an element on a cycle is in its own set."""
     reach = [[False] * (n + 1) for _ in range(n + 1)]
     for i, j in relations:
         reach[i][j] = True
@@ -286,8 +286,6 @@ def closure_by_matrix(n: int, relations) -> list[frozenset[int]] | None:
                 for j in range(1, n + 1):
                     if reach[k][j]:
                         reach[i][j] = True
-    if any(reach[i][i] for i in range(1, n + 1)):
-        return None
     return [frozenset(i for i in range(1, n + 1) if reach[i][j]) for j in range(n + 1)]
 
 
@@ -297,7 +295,7 @@ def is_ideal_by_law(pomset: pb.Pomset, counts) -> bool:
     h = pomset.height
     return all(counts[j - 1] == h
                for i, c in enumerate(counts, 1) if c > 0
-               for j in pomset.strictly_below(i))
+               for j in range(1, pomset.n + 1) if pomset.is_below(j, i))
 
 
 def cover_pairs_by_scan(pomset: pb.Pomset) -> list[tuple[int, int]]:
@@ -318,7 +316,8 @@ def maximal_root_by_above(ideal: pb.Ideal) -> frozenset[int]:
     """Oracle for ``Ideal.maximal_root``: root elements with no root
     element strictly above them."""
     root = ideal.root_set
-    return frozenset(i for i in root if not ideal.pomset.strictly_above(i) & root)
+    return frozenset(i for i in root
+                     if not any(ideal.pomset.is_below(i, j) for j in root))
 
 
 def random_vector(space: pb.BlockSpace, rng) -> pb.BlockVector:

@@ -317,16 +317,23 @@ def test_weight_table_and_radius_balls_match_the_scan(space, data):
 
 
 def test_weight_enumerator_bounded_by_the_cap():
-    # n*h + 1 = 2*2 + 1 = 5 coefficients on the small chain
-    sp = small_chain()
-    at_cap = BlockSpace(5, sp.pomset, sp.pi, cap=5)
+    # a 2-block chain at m = 9 has n*h + 1 = 2*4 + 1 = 9 coefficients and
+    # 3 set ideals, which the walk counts at n = 2 each
+    sp = chain_space(9, (1, 1))
+    at_cap = BlockSpace(9, sp.pomset, sp.pi, cap=9)
     assert balls.weight_enumerator(at_cap) == balls.weight_enumerator(sp)
-    below = BlockSpace(5, sp.pomset, sp.pi, cap=4)
+    below = BlockSpace(9, sp.pomset, sp.pi, cap=8)
     for closed_form in (r_sphere_size, r_ball_size):
-        with pytest.raises(SpaceTooLarge, match="5 coefficients, above the cap 4"):
+        with pytest.raises(SpaceTooLarge, match="9 coefficients, above the cap 8"):
             closed_form(below, 2)
-    with pytest.raises(SpaceTooLarge, match="above the cap 4"):
+    with pytest.raises(SpaceTooLarge, match="above the cap 8"):
         weight_distribution(below)
+    # at m = 5 the 5 coefficients fit a cap of 5, but the walk's 3 * 2 does not
+    sp = small_chain()
+    with pytest.raises(SpaceTooLarge, match="more than 2 ideals to enumerate"):
+        balls.weight_enumerator(BlockSpace(5, sp.pomset, sp.pi, cap=5))
+    at_cap = BlockSpace(5, sp.pomset, sp.pi, cap=6)
+    assert balls.weight_enumerator(at_cap) == balls.weight_enumerator(sp)
 
 
 class TestFullCountStructure:

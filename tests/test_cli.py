@@ -60,12 +60,13 @@ class TestIdeals:
 
 
     def test_cap_bounds_the_ideal_walk(self, capsys, tmp_path):
-        # a 40-block ternary antichain has C(40, 20) ideals of cardinality 20
+        # a 40-block ternary antichain has C(40, 20) ideals of cardinality 20,
+        # which the walk counts at 40 each against the cap
         p = tmp_path / "anti40.space"
         p.write_text("m 3\nblocks" + " 1" * 40 + "\n")
         code, out, err = run(capsys, "--cap", "1000", "ideals", str(p), "--card", "20")
         assert (code, out) == (2, "")
-        assert err == "pomsetblock: more than 1000 ideals to enumerate\n"
+        assert err == "pomsetblock: more than 25 ideals to enumerate\n"
 
 
 class TestBallsize:
@@ -112,15 +113,46 @@ class TestWdist:
 
 
     def test_cap_bounds_the_set_ideal_walk(self, capsys, tmp_path):
-        # a 12-block binary antichain has 2^12 = 4096 set ideals
+        # a 12-block binary antichain has 2^12 = 4096 set ideals, which the
+        # walk counts at 12 each against the cap
         p = tmp_path / "anti12.space"
         p.write_text("m 2\nblocks" + " 1" * 12 + "\n")
         code, out, err = run(capsys, "--cap", "1000", "wdist", str(p))
         assert (code, out) == (2, "")
-        assert err == "pomsetblock: more than 1000 ideals to enumerate\n"
-        code, out, err = run(capsys, "--cap", "5000", "wdist", str(p))
+        assert err == "pomsetblock: more than 83 ideals to enumerate\n"
+        code, out, err = run(capsys, "--cap", "49152", "wdist", str(p))
         assert (code, err) == (0, "")
         assert out == "".join(f"{r}\t{comb(12, r)}\n" for r in range(13)) + "# total 4096\n"
+
+
+def binary_space(tmp_path, n: int, chain: bool) -> str:
+    """An n-block binary space of unit blocks, ordered as a chain or not at all."""
+    p = tmp_path / f"{'chain' if chain else 'antichain'}{n}.space"
+    order = "order" + "".join(f" {i}<{i + 1}" for i in range(1, n)) + "\n" if chain else ""
+    p.write_text("m 2\nblocks" + " 1" * n + "\n" + order)
+    return str(p)
+
+
+class TestFifteenHundredBlocks:
+    # nothing recurses once per block: each command ends, or is refused with
+    # one line, but never dies with a RecursionError (exit 1)
+    @pytest.mark.parametrize("chain", [True, False], ids=["chain", "antichain"])
+    @pytest.mark.parametrize("argv", [["wdist"], ["ballsize", "--radius", "1"],
+                                      ["ideals", "--card", "1"]], ids=str)
+    def test_exit_0_or_2_with_one_line(self, capsys, tmp_path, chain, argv):
+        code, out, err = run(capsys, argv[0], binary_space(tmp_path, 1500, chain), *argv[1:])
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.startswith("pomsetblock: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+
+    def test_chain_distribution(self, capsys, tmp_path):
+        # weight r >= 1 puts the top nonzero block at r, with 2^(r-1) choices below
+        code, out, err = run(capsys, "wdist", binary_space(tmp_path, 1500, True))
+        assert (code, err) == (0, "")
+        assert out == ("0\t1\n" + "".join(f"{r}\t{2 ** (r - 1)}\n" for r in range(1, 1501))
+                       + f"# total {2 ** 1500}\n")
 
 
 class TestPerfect:

@@ -1,12 +1,15 @@
 """Pomsets and ideals: construction, generation, duality, enumeration."""
 
+import ast
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pomsetblock
 from pomsetblock import (
     CycleDetected,
     Ideal,
@@ -67,6 +70,12 @@ class TestConstruction:
     def test_cover_pairs_drop_transitive_edges(self):
         p = Pomset(3, 2, [(1, 2), (2, 3), (1, 3)])
         assert p.cover_pairs() == [(1, 2), (2, 3)]
+
+    def test_a_long_chain_builds_in_linear_passes(self):
+        started = time.perf_counter()
+        p = Pomset(3000, 1, [(i, i + 1) for i in range(1, 3000)])
+        assert time.perf_counter() - started < 1
+        assert p.is_chain() and p.is_below(1, 3000) and not p.is_below(3000, 1)
 
 
 class TestIdeals:
@@ -336,11 +345,11 @@ def test_sub_ideals_of_every_size_exist(config, data):
 
 
 @st.composite
-def relabelled_relations(draw):
-    """A relation on at most 8 elements at height at most 3: forward pairs
-    i < j, relabelled by a random permutation, plus up to two reversed
+def relabelled_relations(draw, max_n: int = 8):
+    """A relation on at most ``max_n`` elements at height at most 3: forward
+    pairs i < j, relabelled by a random permutation, plus up to two reversed
     pairs, which close a cycle when the forward pairs already join them."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     forward = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     pairs = draw(st.lists(st.sampled_from(forward), max_size=10)) if forward else []
     back = draw(st.lists(st.sampled_from(forward), max_size=2)) if forward else []
@@ -355,14 +364,16 @@ def relabelled_relations(draw):
 def test_every_order_fact_matches_its_oracle(config):
     n, h, relation = config
     below = closure_by_matrix(n, relation)
-    if below is None:
-        with pytest.raises(CycleDetected, match="lies strictly below itself"):
+    if any(i in below[i] for i in range(1, n + 1)):
+        with pytest.raises(CycleDetected, match="lies strictly below itself") as err:
             Pomset(n, h, relation)
+        named = int(str(err.value).split()[1])
+        assert named in below[named]  # the element named lies on a cycle
         return
     p = Pomset(n, h, relation)
-    for i in range(1, n + 1):
-        assert p.strictly_below(i) == below[i]
-        assert p.strictly_above(i) == {j for j in range(1, n + 1) if i in below[j]}
+    for i, j in product(range(1, n + 1), repeat=2):
+        assert p.is_below(i, j) == (i in below[j])
+        assert p.dual().is_below(j, i) == (i in below[j])
     assert p.relation == {(i, j) for j in range(1, n + 1) for i in below[j]}
     assert p.is_chain() == is_chain_by_pairs(p)
     assert p.cover_pairs() == cover_pairs_by_scan(p)
@@ -374,3 +385,40 @@ def test_every_order_fact_matches_its_oracle(config):
         if p.is_ideal(mset):
             ideal = Ideal(p, mset)
             assert ideal.maximal_root() == maximal_root_by_above(ideal)
+
+
+@given(relabelled_relations(max_n=5))
+@settings(max_examples=150, deadline=None)
+def test_every_ideal_walk_matches_the_brute_force_filter(config):
+    n, h, relation = config
+    below = closure_by_matrix(n, relation)
+    assume(not any(i in below[i] for i in range(1, n + 1)))
+    p = Pomset(n, h, relation)
+    want = brute_force_ideal_vectors(p)
+    assert [ideal.counts.counts for ideal in p.ideals()] == want
+    for t in range(n * h + 1):
+        got = [ideal.counts.counts for ideal in p.ideals_of_cardinality(t)]
+        assert got == [counts for counts in want if sum(counts) == t]
+    # the set ideals, which the weight enumerator streams
+    assert sorted(p.ideal_vectors(1)) == brute_force_ideal_vectors(
+        Pomset(n, 1, relation))
+
+
+def test_no_function_in_the_package_calls_itself():
+    # a walk that recurses once per element dies past about 1000 of them; a
+    # function calling its own name, or a method its self attribute, is flagged
+    for path in Path(pomsetblock.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                if fn in methods:
+                    own = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                           and getattr(f.value, "id", None) == "self")
+                else:
+                    own = isinstance(f, ast.Name) and f.id == fn.name
+                assert not own, f"{path.name}: {fn.name} calls itself"
