@@ -38,6 +38,7 @@ from .block_space import (
     block_max_lee,
     block_shell_size,
     chain_space,
+    check_block_weight,
     lee_shell_size,
     lee_weight,
     pw_weight,

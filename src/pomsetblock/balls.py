@@ -15,7 +15,7 @@ from itertools import chain, compress, product
 from operator import add
 
 from .block_space import BlockSpace, BlockVector, block_shell_size
-from .errors import NotFullCount, SpaceTooLarge
+from .errors import NotFullCount
 from .pomset import Ideal
 
 
@@ -120,11 +120,8 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
     and the set ideals, at n each, count against the space's cap.
     """
     m, h = space.m, space.max_lee
-    if space.n * h + 1 > space.cap:
-        raise SpaceTooLarge(
-            f"weight enumerator has {space.n * h + 1} coefficients, "
-            f"above the cap {space.cap}"
-        )
+    space.check_cap(space.n * h + 1,
+                    f"weight enumerator has {space.n * h + 1} coefficients")
     nonzero = {k: [0] + [block_shell_size(m, k, c) for c in range(1, h + 1)]
                for k in set(space.pi)}
     enumerator = [0] * (space.n * h + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .errors import (
@@ -40,9 +41,16 @@ def block_max_lee(block, m: int) -> int:
 
 def lee_shell_size(m: int, r: int) -> int:
     """Number of residues mod m with Lee weight exactly r (blocks of one)."""
-    if not 0 <= r <= m // 2:
-        raise ValueError(f"Lee weight {r} outside 0..{m // 2}")
     return block_shell_size(m, 1, r)
+
+
+def check_block_weight(m: int, k: int, r: int) -> None:
+    """Reject a block length k below 1 or a maximum Lee weight r outside
+    0..floor(m/2): the one check before any block shell is counted."""
+    if k < 1:
+        raise ValueError("block length must be positive")
+    if not 0 <= r <= m // 2:
+        raise ValueError(f"weight {r} outside 0..{m // 2}")
 
 
 def block_shell_size(m: int, k: int, r: int) -> int:
@@ -52,10 +60,7 @@ def block_shell_size(m: int, k: int, r: int) -> int:
     so the blocks within r less those within r - 1 give
     min(2r + 1, m)^k - max(2r - 1, 0)^k, for either parity of m.
     """
-    if k < 1:
-        raise ValueError("block length must be positive")
-    if not 0 <= r <= m // 2:
-        raise ValueError(f"weight {r} outside 0..{m // 2}")
+    check_block_weight(m, k, r)
     return min(2 * r + 1, m) ** k - max(2 * r - 1, 0) ** k
 
 
@@ -151,11 +156,9 @@ class BlockSpace:
         return BlockVector(self, (0,) * self.N)
 
     def check_weight(self, r: int, noun: str) -> None:
-        """Reject ``r`` unless it is a weight some vector has, 0..n*floor(m/2);
-        ``noun`` names r in the error."""
-        top = self.n * self.max_lee
-        if not 0 <= r <= top:
-            raise ValueError(f"{noun} {r} outside 0..{top}")
+        """Reject ``r`` unless it is a weight some vector has, the cardinality
+        of an ideal of the block order; ``noun`` names r in the error."""
+        self.pomset.check_cardinality(r, noun)
 
     def check_ideal(self, ideal) -> None:
         """Reject an ideal of any order but this space's block order."""
@@ -163,11 +166,31 @@ class BlockSpace:
             raise SpaceMismatch(f"{ideal!r} is an ideal of {ideal.pomset!r}, "
                                 f"not of the space's {self.pomset!r}")
 
+    def check_cap(self, amount: int, what: str) -> None:
+        """The one cap refusal: ``SpaceTooLarge``, "{what}, above the cap",
+        if ``amount`` is more than the cap."""
+        if amount > self.cap:
+            raise SpaceTooLarge(f"{what}, above the cap {self.cap}")
+
+    def check_cap_powers(self, powers: dict[int, int], what: str) -> None:
+        """:meth:`check_cap` for the product of b**e over ``powers`` ({b: e}),
+        with no b raised past the cap's bit length, where a b of 2 or more
+        alone passes the cap. ``what`` holds "{}" for the product: decimal
+        up to the 4300 digits Python prints, ``b^e`` factors beyond."""
+        clip = self.cap.bit_length()
+        amount = prod(b ** min(e, clip) for b, e in powers.items())
+        if amount <= self.cap:
+            return
+        words = " * ".join(f"{b}^{e}" for b, e in sorted(powers.items()) if b > 1)
+        # the product is at least 2**sum((bits(b) - 1) * e); 10**4300 < 2**14285
+        if sum((b.bit_length() - 1) * e for b, e in powers.items()) < 14285:
+            exact = prod(b ** e for b, e in powers.items())
+            if exact < 10**4300:
+                words = str(exact)
+        self.check_cap(amount, what.format(words))
+
     def check_enumerable(self) -> None:
-        if self.size() > self.cap:
-            raise SpaceTooLarge(
-                f"space has {self.size()} vectors, above the cap {self.cap}"
-            )
+        self.check_cap_powers({self.m: self.N}, "space has {} vectors")
 
     def coord_tuples(self) -> Iterator[tuple[int, ...]]:
         """All coordinate tuples in odometer order (last coordinate fastest)."""

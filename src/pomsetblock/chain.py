@@ -35,8 +35,7 @@ def chain_prefix_ideal(pomset: Pomset, card: int) -> Ideal:
     bottom prefix, the remainder on the next element."""
     order = chain_elements(pomset)
     h = pomset.height
-    if not 0 <= card <= pomset.n * h:
-        raise ValueError(f"cardinality {card} outside 0..{pomset.n * h}")
+    pomset.check_cardinality(card)
     counts = [0] * pomset.n
     full, rest = divmod(card, h)
     for i in order[:full]:

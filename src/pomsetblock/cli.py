@@ -270,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="work guard (default 10^7): bounds vectors scanned, "
-                             "code words built, codeword pairs weighed and "
-                             "weight-enumerator coefficients")
+                        help="work guard (default 10^7) on vectors scanned, code "
+                             "words spanned or constructed, codeword pairs weighed, "
+                             "enumerator coefficients and ideals walked (n each)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weight", help="block-metric weight of a vector")

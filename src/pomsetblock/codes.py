@@ -13,7 +13,6 @@ from .errors import (
     NotLinear,
     SingletonCode,
     SpaceMismatch,
-    SpaceTooLarge,
 )
 from .pomset import Ideal
 
@@ -24,19 +23,20 @@ class Code:
     as vectors.
 
     ``linear`` is a verified property (the code equals its own span),
-    computed on first use, never a trust flag.
+    computed on first use, never a trust flag: only submodules built here
+    and ``in_space`` copies pass it in, as ``_linear``.
     """
 
     __slots__ = ("space", "words", "_coord_set", "_linear")
 
-    def __init__(self, space: BlockSpace, codewords):
+    def __init__(self, space: BlockSpace, codewords, *, _linear: bool | None = None):
         coords = {space._reduce(w) for w in codewords}
         if not coords:
             raise ValueError("a code must contain at least one word")
         self.space = space
         self.words = tuple(sorted(coords))
         self._coord_set = frozenset(coords)
-        self._linear = None
+        self._linear = _linear
 
     @classmethod
     def from_generators(cls, space: BlockSpace, rows) -> Code:
@@ -46,11 +46,9 @@ class Code:
         """
         gens = [space._reduce(r) for r in rows]
         words = space.span(gens, space.cap)
-        if len(words) > space.cap:
-            raise SpaceTooLarge(
-                f"span of {len(gens)} generator rows exceeds the cap {space.cap}"
-            )
-        return cls(space, words)
+        space.check_cap(len(words), f"span of {len(gens)} generator rows has "
+                                    f"at least {len(words)} words")
+        return cls(space, words, _linear=True)
 
     @property
     def coord_set(self) -> frozenset[tuple[int, ...]]:
@@ -86,7 +84,7 @@ class Code:
         """The same coordinate set viewed in another space (same m, pi)."""
         if other.m != self.space.m or other.pi != self.space.pi:
             raise SpaceMismatch("target space has different modulus or labels")
-        return Code(other, self._coord_set)
+        return Code(other, self._coord_set, _linear=self._linear)
 
     def min_distance(self, metric: str = "pomset") -> int:
         """Least distance between distinct codewords.
@@ -108,9 +106,7 @@ class Code:
         if self.linear:
             return min(weigh(w) for w in vectors if not w.is_zero)
         pairs = len(vectors) * (len(vectors) - 1) // 2
-        if pairs > self.space.cap:
-            raise SpaceTooLarge(
-                f"{pairs} codeword pairs to weigh, above the cap {self.space.cap}")
+        self.space.check_cap(pairs, f"{pairs} codeword pairs to weigh")
         return min(
             weigh(vectors[i] - vectors[j])
             for i in range(len(vectors))
@@ -194,26 +190,17 @@ def construct_perfect_partial(space: BlockSpace, ideal: Ideal) -> Code:
     """
     space.check_ideal(ideal)
     m = space.m
-    steps = []
-    size = 1
-    for i in range(1, space.n + 1):
-        t = ideal.count(i)
-        if t == 0:
-            step = 1
-        elif t == space.max_lee:
-            step = m
-        elif m % (2 * t + 1):
-            raise DivisibilityFails(i, t, m)
-        else:
-            step = 2 * t + 1
-        k = space.pi[i - 1]
-        size *= (m // step) ** k
-        steps += [step] * k
-    if size > space.cap:
-        raise SpaceTooLarge(
-            f"construction would emit {size} codewords, above the cap {space.cap}"
-        )
-    return Code(space, product(*[range(0, m, step) for step in steps]))
+    steps = [1 if t == 0 else m if t == space.max_lee else 2 * t + 1
+             for t in ideal.counts.counts]
+    residues = {}  # residues per coordinate, m // step: coordinates with that many
+    for i, (step, k) in enumerate(zip(steps, space.pi), 1):
+        if m % step:
+            raise DivisibilityFails(i, ideal.count(i), m)
+        residues[m // step] = residues.get(m // step, 0) + k
+    space.check_cap_powers(residues, "construction would emit {} codewords")
+    # a product of subgroups of Z_m, hence a submodule
+    return Code(space, product(*[range(0, m, step) for step, k in zip(steps, space.pi)
+                                 for _ in range(k)]), _linear=True)
 
 
 def dual_code(code: Code) -> Code:
@@ -247,7 +234,7 @@ def dual_code(code: Code) -> Code:
     for h in product(range(m), repeat=cut):
         key = tuple(-sum(x * y for x, y in zip(h, g)) % m for g in gens)
         perp.extend(h + t for t in tails_by_key.get(key, ()))
-    return Code(space, perp)
+    return Code(space, perp, _linear=True)
 
 
 @dataclass(frozen=True)

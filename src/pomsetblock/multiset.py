@@ -106,38 +106,23 @@ class Multiset:
         self._check(other)
         return all(a <= b for a, b in zip(self.counts, other.counts))
 
+    def _pointwise(self, other: Multiset, op) -> Multiset:
+        self._check(other)
+        return Multiset(self.n, self.height, tuple(map(op, self.counts, other.counts)))
+
     def mset_sum(self, other: Multiset) -> Multiset:
         """Pointwise sum, clipped at the height."""
-        self._check(other)
-        h = self.height
-        return Multiset(
-            self.n, h, tuple(min(a + b, h) for a, b in zip(self.counts, other.counts))
-        )
+        return self._pointwise(other, lambda a, b: min(a + b, self.height))
 
     def mset_diff(self, other: Multiset) -> Multiset:
         """Pointwise difference, floored at zero."""
-        self._check(other)
-        return Multiset(
-            self.n,
-            self.height,
-            tuple(max(a - b, 0) for a, b in zip(self.counts, other.counts)),
-        )
+        return self._pointwise(other, lambda a, b: max(a - b, 0))
 
     def union(self, other: Multiset) -> Multiset:
-        self._check(other)
-        return Multiset(
-            self.n,
-            self.height,
-            tuple(max(a, b) for a, b in zip(self.counts, other.counts)),
-        )
+        return self._pointwise(other, max)
 
     def intersection(self, other: Multiset) -> Multiset:
-        self._check(other)
-        return Multiset(
-            self.n,
-            self.height,
-            tuple(min(a, b) for a, b in zip(self.counts, other.counts)),
-        )
+        return self._pointwise(other, min)
 
     def complement(self) -> Multiset:
         return Multiset(

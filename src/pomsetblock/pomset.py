@@ -153,11 +153,18 @@ class Pomset:
         return Ideal(self, Multiset(self.n, self.height,
                                     self.generated_counts(mset.counts)))
 
+    def check_cardinality(self, t: int, noun: str = "cardinality") -> None:
+        """Reject ``t`` unless some ideal has that total, 0..n*height: the one
+        range check for a cardinality, radius or weight; ``noun`` names t in
+        the error."""
+        top = self.n * self.height
+        if not 0 <= t <= top:
+            raise ValueError(f"{noun} {t} outside 0..{top}")
+
     def ideals_of_cardinality(self, t: int, limit: int | None = None) -> list[Ideal]:
         """All ideals of total count ``t``, in lexicographic count order;
         ``limit`` as in :meth:`ideals`."""
-        if not 0 <= t <= self.n * self.height:
-            raise ValueError(f"cardinality {t} outside 0..{self.n * self.height}")
+        self.check_cardinality(t)
         return [Ideal(self, Multiset(self.n, self.height, counts))
                 for counts in sorted(self.ideal_vectors(self.height, t, limit))]
 
@@ -181,15 +188,16 @@ class Pomset:
         n, above, order = self.n, self._above, self.linear_extension()
         counts = [0] * n
         found = 0
-        # an entry writes count c at position pos of the linear extension, then
-        # goes on with the total, the elements still free and those a count
-        # short of h holds at 0; a count is tried only if t stays reachable
+        # an entry writes count c at pos in the linear extension, then the total,
+        # the elements still free and those held at 0, by a count short of h or
+        # by a total already at t; a count is tried only if t stays reachable,
+        # so every entry ends in an ideal of its own, counted before it is pushed
         stack = [(-1, 0, 0, n, 0)]  # a write that position n - 1 overwrites
         while stack:
             pos, c, total, free, held = stack.pop()
             counts[order[pos] - 1] = c
             pos += 1
-            while pos < n and held >> order[pos] & 1:
+            while pos < n and (total == t or held >> order[pos] & 1):
                 counts[order[pos] - 1] = 0
                 pos += 1
             if pos == n:
@@ -204,6 +212,8 @@ class Pomset:
             short = free - 1 - (above[i] & ~held).bit_count()
             lo = 0 if t is None else max(0, t - total - h * short)
             hi = h - 1 if t is None else min(h - 1, t - total)
+            if limit is not None and found + len(stack) + hi - lo >= limit:
+                raise SpaceTooLarge(f"more than {limit} ideals to enumerate")
             for c in range(hi, lo - 1, -1):
                 stack.append((pos, c, total + c, short, held | above[i]))
 

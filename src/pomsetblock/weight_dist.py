@@ -13,16 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .block_space import BlockSpace, block_max_lee
+from .block_space import BlockSpace, block_max_lee, check_block_weight
 from .balls import support_census, weight_enumerator, weight_sums
 
 
 def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
     """Oracle for :func:`block_shell_size` by scanning Z_m^k."""
-    if k < 1:
-        raise ValueError("block length must be positive")
-    if not 0 <= r <= m // 2:
-        raise ValueError(f"weight {r} outside 0..{m // 2}")
+    check_block_weight(m, k, r)
     return sum(1 for block in product(range(m), repeat=k)
                if block_max_lee(block, m) == r)
 

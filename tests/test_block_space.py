@@ -1,9 +1,14 @@
 """Vectors, supports, weights, and the metric axioms at desk scale."""
 
+import ast
+from math import log10
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pomsetblock
 from pomsetblock import (
     BlockSpace,
     Code,
@@ -92,6 +97,52 @@ class TestConstruction:
         # cap 0 stays valid: it allows no scan at all
         with pytest.raises(SpaceTooLarge):
             list(BlockSpace(5, sp.pomset, sp.pi, cap=0).vectors())
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.sampled_from([2, 3, 10**30]), N=st.integers(1, 30), data=st.data())
+    def test_scan_refused_exactly_past_the_cap(self, m, N, data):
+        # the guard never computes a power past the cap's bit length, yet the
+        # refusal falls exactly where m^N passes the cap, worded in decimal
+        size = m ** N
+        cap = data.draw(st.sampled_from([0, 1, size - 1, size, size + 1, 10**7])
+                        | st.integers(0, 2 * size))
+        space = BlockSpace(m, Pomset(1, m // 2), (N,), cap=cap)
+        if size > cap:
+            with pytest.raises(SpaceTooLarge) as refused:
+                space.check_enumerable()
+            assert str(refused.value) == f"space has {size} vectors, above the cap {cap}"
+        else:
+            space.check_enumerable()
+
+    @pytest.mark.parametrize("m", [2, 3, 10**30])
+    def test_scan_refusal_words_a_size_past_4300_digits_as_a_power(self, m):
+        # the longest N whose m^N still prints in decimal, and the next
+        longest = next(N for N in range(int(4300 / log10(m)) + 2, 0, -1)
+                       if m ** N < 10**4300)
+        for N, words in [(longest, str(m ** longest)), (longest + 1, f"{m}^{longest + 1}")]:
+            space = BlockSpace(m, Pomset(1, m // 2), (N,))
+            with pytest.raises(SpaceTooLarge) as refused:
+                space.check_enumerable()
+            assert str(refused.value) == f"space has {words} vectors, above the cap 10000000"
+
+    def test_only_the_space_and_the_ideal_walk_raise_space_too_large(self):
+        # every cap refusal goes through BlockSpace.check_cap; the ideal walk
+        # keeps its own ``limit``
+        allowed = {"block_space.py": "BlockSpace", "pomset.py": "Pomset.ideal_vectors"}
+        for path in Path(pomsetblock.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            scopes = [(f"{top.name}.{getattr(fn, 'name', '')}", fn) for top in tree.body
+                      if isinstance(top, ast.ClassDef) for fn in top.body]
+            scopes += [(getattr(top, "name", ""), top) for top in tree.body
+                       if not isinstance(top, ast.ClassDef)]
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Raise) and "SpaceTooLarge" in ast.dump(node):
+                        assert name.startswith(allowed.get(path.name, "?")), (
+                            f"{path.name}: {name} raises SpaceTooLarge")
+                    if isinstance(node, ast.ImportFrom) and path.name not in allowed:
+                        assert path.name == "__init__.py" or "SpaceTooLarge" not in [
+                            alias.name for alias in node.names], f"{path.name} imports it"
 
     def test_dual_keeps_the_cap(self):
         sp = chain_space(5, (1, 1))

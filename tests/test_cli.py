@@ -68,6 +68,16 @@ class TestIdeals:
         assert (code, out) == (2, "")
         assert err == "pomsetblock: more than 25 ideals to enumerate\n"
 
+    def test_cap_bounds_the_walk_before_a_tall_count_is_pushed(self, capsys, tmp_path):
+        # at height 5*10^29 the first block could take any of 15 669 149
+        # counts, each a stack entry, before a single ideal is yielded
+        p = tmp_path / "tall.space"
+        p.write_text(f"m {10**30 + 1}\nblocks 3 1 2 2\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--cap", "1000", "ideals", str(p), "--card", "15669148")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "pomsetblock: more than 250 ideals to enumerate\n")
+
 
 class TestBallsize:
     def test_formula_and_enumeration_agree(self, capsys, small):
@@ -153,6 +163,27 @@ class TestFifteenHundredBlocks:
         assert (code, err) == (0, "")
         assert out == ("0\t1\n" + "".join(f"{r}\t{2 ** (r - 1)}\n" for r in range(1, 1501))
                        + f"# total {2 ** 1500}\n")
+
+
+class TestHugeBlock:
+    # one block of 10^7 or 10^8 ternary entries: each scan and construction
+    # is refused by the cap before any power of 3 that large is taken
+    @pytest.mark.parametrize("length", [10**7, 10**8])
+    @pytest.mark.parametrize("command, options, counted", [
+        (["wdist"], ["--oracle"], "space has {} vectors"),
+        (["selftest"], [], "space has {} vectors"),
+        (["ballsize"], ["--enumerate", "--ideal", "1/1"], "space has {} vectors"),
+        (["perfect", "construct"], ["--ideal", "-"], "construction would emit {} codewords"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+    def test_refused_with_one_line_in_bounded_time(self, capsys, tmp_path, length,
+                                                   command, options, counted):
+        p = tmp_path / "huge.space"
+        p.write_text(f"m 3\nblocks {length}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, str(p), *options)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == f"pomsetblock: {counted.format(f'3^{length}')}, above the cap 10000000\n"
 
 
 class TestPerfect:

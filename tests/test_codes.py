@@ -67,6 +67,31 @@ class TestCode:
         assert not Code(sp, [(0, 0), (1, 1), (2, 2)]).linear  # not closed
         assert not Code(sp, [(1, 1), (2, 2)]).linear  # no zero
 
+    def test_submodules_built_as_such_are_not_spanned_again(self, monkeypatch):
+        spans = []
+        real_span = BlockSpace.span
+
+        def counted(space, rows, limit):
+            spans.append(limit)
+            return real_span(space, rows, limit)
+
+        monkeypatch.setattr(BlockSpace, "span", counted)
+        sp = antichain_space(9, (1, 2))
+        closed = Code(sp, [(0, 0, 0), (3, 0, 3), (6, 0, 6)])
+        open_ = Code(sp, [(0, 0, 0), (1, 1, 1)])
+        assert closed.linear and not open_.linear  # one span each
+        built = [Code.from_generators(sp, [(1, 2, 3)]),
+                 dual_code(closed),
+                 construct_perfect_partial(sp, parse_ideal(sp, "1/1 4/2")),
+                 closed.in_space(sp.dual()),
+                 open_.in_space(sp.dual())]
+        before = len(spans)
+        verdicts = [code.linear for code in built]
+        assert len(spans) == before
+        # and each verdict is what a fresh span finds
+        assert verdicts == [Code(c.space, c.words).linear for c in built] == [
+            True, True, True, True, False]
+
     def test_span_expansion(self):
         sp = small_chain()
         c = Code.from_generators(sp, [(1, 0), (0, 1)])
@@ -231,6 +256,14 @@ class TestPerfectPartial:
         huge = antichain_space(10**30 + 1, (1, 1))
         with pytest.raises(SpaceTooLarge, match=r"10{29}1 codewords, above the cap"):
             construct_perfect_partial(huge, parse_ideal(huge, f"{huge.max_lee}/1"))
+
+    def test_cap_words_a_product_past_4300_digits_as_powers(self):
+        # 1/1 takes the multiples of 3 on block 1 and leaves block 2 free
+        sp = antichain_space(9, (10**8, 10**8))
+        with pytest.raises(SpaceTooLarge) as refused:
+            construct_perfect_partial(sp, parse_ideal(sp, "1/1"))
+        assert str(refused.value) == ("construction would emit 3^100000000 * "
+                                      "9^100000000 codewords, above the cap 10000000")
 
     def test_centers_alone_are_disjoint(self):
         # the partial-block centers give disjoint balls even before the

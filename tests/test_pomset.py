@@ -402,6 +402,13 @@ def test_every_ideal_walk_matches_the_brute_force_filter(config):
     # the set ideals, which the weight enumerator streams
     assert sorted(p.ideal_vectors(1)) == brute_force_ideal_vectors(
         Pomset(n, 1, relation))
+    # every entry of the walk ends in an ideal, so the limit is exact even
+    # though it is checked before entries are pushed
+    for t in [None, *range(n * h + 1)]:
+        count = len(list(p.ideal_vectors(h, t)))
+        assert len(list(p.ideal_vectors(h, t, limit=count))) == count
+        with pytest.raises(SpaceTooLarge, match=f"more than {count - 1} ideals"):
+            list(p.ideal_vectors(h, t, limit=count - 1))
 
 
 def test_no_function_in_the_package_calls_itself():
