@@ -44,7 +44,7 @@ def r_ball_coords(center: BlockVector, r: int) -> list[tuple[int, ...]]:
     the zero ball read off :meth:`BlockSpace.weights`, translated by the
     center (the weight is symmetric, so d(u, v) = w(v - u))."""
     space = center.space
-    space.check_weight(r, "radius")
+    space.pomset.check_cardinality(r, "radius")
     m = space.m
     zero_ball = compress(space.coord_tuples(), (w <= r for w in space.weights()))
     if not any(center.coords):
@@ -140,7 +140,7 @@ def weight_enumerator(space: BlockSpace) -> tuple[int, ...]:
 def _shells_upto(space: BlockSpace, r: int) -> tuple[int, ...]:
     """The weight enumerator's shells 0..r, once r is checked to be a
     radius some vector reaches."""
-    space.check_weight(r, "radius")
+    space.pomset.check_cardinality(r, "radius")
     return weight_enumerator(space)[: r + 1]
 
 

@@ -155,11 +155,6 @@ class BlockSpace:
     def zero(self) -> BlockVector:
         return BlockVector(self, (0,) * self.N)
 
-    def check_weight(self, r: int, noun: str) -> None:
-        """Reject ``r`` unless it is a weight some vector has, the cardinality
-        of an ideal of the block order; ``noun`` names r in the error."""
-        self.pomset.check_cardinality(r, noun)
-
     def check_ideal(self, ideal) -> None:
         """Reject an ideal of any order but this space's block order."""
         if ideal.pomset != self.pomset:

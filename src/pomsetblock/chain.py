@@ -48,7 +48,7 @@ def chain_prefix_ideal(pomset: Pomset, card: int) -> Ideal:
 def chain_shell_size(space: BlockSpace, r: int) -> int:
     """Shell count over a chain order: a chain has one ideal of each
     cardinality, so shell r is the I-sphere of :func:`chain_prefix_ideal`."""
-    space.check_weight(r, "weight")
+    space.pomset.check_cardinality(r, "weight")
     return i_sphere_size(space, chain_prefix_ideal(space.pomset, r))
 
 

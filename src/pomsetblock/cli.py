@@ -44,29 +44,31 @@ def _err(msg: str) -> None:
     print(f"pomsetblock: {msg}", file=sys.stderr)
 
 
-def _cmd_weight(space, args) -> int:
-    v = parse_vector(space, args.vector)
-    print(v.weight())
-    return 0
+def _tsv(rows) -> str:
+    """Tab-separated text, one line per row: a boolean cell reads
+    true/false and a missing one (None) reads -."""
+    def cell(x) -> str:
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return "-" if x is None else str(x)
+    return "".join("\t".join(map(cell, row)) + "\n" for row in rows)
 
 
-def _cmd_ideals(space, args) -> int:
-    for ideal in space.pomset.ideals_of_cardinality(args.card, limit=space.cap // space.n):
-        print(ideal.counts.literal())
-    return 0
+# Each handler returns (status, text): status 0 or 1, text its whole stdout.
+
+def _cmd_weight(space, args) -> tuple[int, str]:
+    return 0, _tsv([(parse_vector(space, args.vector).weight(),)])
 
 
-def _cmd_ballsize(space, args) -> int:
-    if (args.ideal is None) == (args.radius is None):
-        _err("give exactly one of --ideal or --radius")
-        return 2
-    if args.center is not None and not args.enumerate:
-        _err("--center only makes sense with --enumerate; "
-             "the closed forms are center independent")
-        return 2
+def _cmd_ideals(space, args) -> tuple[int, str]:
+    ideals = space.pomset.ideals_of_cardinality(args.card, limit=space.cap // space.n)
+    return 0, _tsv((ideal.counts.literal(),) for ideal in ideals)
+
+
+def _cmd_ballsize(space, args) -> tuple[int, str]:
     if args.enumerate:
         if args.radius is not None:
-            space.check_weight(args.radius, "radius")
+            space.pomset.check_cardinality(args.radius, "radius")
         if args.center is not None:
             # enumeration at an explicit center, as a cross-check path
             center = parse_vector(space, args.center)
@@ -79,96 +81,77 @@ def _cmd_ballsize(space, args) -> int:
         else:
             shells = weight_distribution_enumerated(space).shells
             size = sum(a for r, a in enumerate(shells) if r <= args.radius)
+    elif args.ideal is not None:
+        size = i_ball_size(space, parse_ideal(space, args.ideal))
     else:
-        if args.ideal is not None:
-            size = i_ball_size(space, parse_ideal(space, args.ideal))
-        else:
-            size = r_ball_size(space, args.radius)
-    print(size)
-    return 0
+        size = r_ball_size(space, args.radius)
+    return 0, _tsv([(size,)])
 
 
-def _cmd_wdist(space, args) -> int:
+def _cmd_wdist(space, args) -> tuple[int, str]:
     if args.oracle:
         shells = weight_distribution_enumerated(space).shells
     else:
         shells = weight_distribution(space).shells
-    for r, a in enumerate(shells):
-        print(f"{r}\t{a}")
-    print(f"# total {space.size()}")
-    return 0
+    return 0, _tsv(enumerate(shells)) + f"# total {space.size()}\n"
 
 
-def _cmd_perfect(space, args) -> int:
+def _cmd_perfect(space, args) -> tuple[int, str]:
     if args.action == "construct":
         ideal = parse_ideal(space, args.ideal)
         try:
             code = construct_perfect_partial(space, ideal)
         except DivisibilityFails as exc:
-            print(f"divisibility-fails\tindex={exc.index}\tcount={exc.count}")
-            return 1
-        sys.stdout.write(format_code(code))
-        return 0
+            return 1, _tsv([("divisibility-fails", f"index={exc.index}",
+                             f"count={exc.count}")])
+        return 0, format_code(code)
     # verify
     code = load_code(space, args.code)
-    if (args.ideal is None) == (args.radius is None):
-        _err("give exactly one of --ideal or --radius")
-        return 2
     if args.ideal is not None:
         cert = verify_perfect(code, ideal=parse_ideal(space, args.ideal))
     else:
         cert = verify_perfect(code, radius=args.radius)
-    print(f"disjoint\t{str(cert.disjoint).lower()}")
-    print(f"covering\t{str(cert.covering).lower()}")
+    rows = [("disjoint", cert.disjoint), ("covering", cert.covering)]
     if cert.overlap is not None:
-        v, c1, c2 = cert.overlap
-        print(f"overlap\t{v.literal()}\t{c1.literal()}\t{c2.literal()}")
+        rows.append(("overlap", *(v.literal() for v in cert.overlap)))
     if cert.uncovered is not None:
-        print(f"uncovered\t{cert.uncovered.literal()}")
-    return 0 if cert.is_perfect else 1
+        rows.append(("uncovered", cert.uncovered.literal()))
+    return (0 if cert.is_perfect else 1), _tsv(rows)
 
 
-def _cmd_mds(space, args) -> int:
-    code = load_code(space, args.code)
-    report = chain_ops.singleton_report(code)
-    print(f"min-distance\t{report.d if report.d is not None else '-'}")
-    print(f"prefix-blocks\t{report.r}")
-    print(f"prefix-length\t{report.prefix_len}")
-    print(f"bound\t{report.rhs}")
-    print(f"mds\t{str(report.is_mds).lower()}")
-    return 0 if report.is_mds else 1
+def _cmd_mds(space, args) -> tuple[int, str]:
+    report = chain_ops.singleton_report(load_code(space, args.code))
+    return (0 if report.is_mds else 1), _tsv([
+        ("min-distance", report.d), ("prefix-blocks", report.r),
+        ("prefix-length", report.prefix_len), ("bound", report.rhs),
+        ("mds", report.is_mds),
+    ])
 
 
-def _cmd_dual(space, args) -> int:
-    code = load_code(space, args.code)
-    sys.stdout.write(format_code(dual_code(code)))
-    return 0
+def _cmd_dual(space, args) -> tuple[int, str]:
+    return 0, format_code(dual_code(load_code(space, args.code)))
 
 
-def _cmd_packrad(space, args) -> int:
+def _cmd_packrad(space, args) -> tuple[int, str]:
     code = load_code(space, args.code)
     brute = chain_ops.packing_radius(code)
-    print(f"bruteforce\t{brute}")
-    if space.pomset.is_chain():
-        formula = chain_ops.packing_radius_chain(code)
-        print(f"formula\t{formula}")
-        if formula != brute:
-            return 1
-    return 0
+    if not space.pomset.is_chain():
+        return 0, _tsv([("bruteforce", brute)])
+    formula = chain_ops.packing_radius_chain(code)
+    return (0 if formula == brute else 1), _tsv([("bruteforce", brute),
+                                                 ("formula", formula)])
 
 
-def _cmd_duality4(space, args) -> int:
-    code = load_code(space, args.code)
-    report = chain_ops.duality_equivalence(code)
-    print(f"mds\t{str(report.mds_primal).lower()}")
-    print(f"perfect\t{str(report.perfect_primal).lower()}")
-    print(f"dual-perfect\t{str(report.perfect_dual).lower()}")
-    print(f"dual-mds\t{str(report.mds_dual).lower()}")
-    print(f"equivalent\t{str(report.all_equal).lower()}")
-    return 0 if report.all_equal else 1
+def _cmd_duality4(space, args) -> tuple[int, str]:
+    report = chain_ops.duality_equivalence(load_code(space, args.code))
+    return (0 if report.all_equal else 1), _tsv([
+        ("mds", report.mds_primal), ("perfect", report.perfect_primal),
+        ("dual-perfect", report.perfect_dual), ("dual-mds", report.mds_dual),
+        ("equivalent", report.all_equal),
+    ])
 
 
-def _cmd_selftest(space, args) -> int:
+def _cmd_selftest(space, args) -> tuple[int, str]:
     rows: list[tuple[str, str, object, object, bool]] = []
 
     census = support_census(space)
@@ -249,12 +232,8 @@ def _cmd_selftest(space, args) -> int:
             o = by_weight[r]
             rows.append(("chain-shells", f"r={r}", f, o, f == o))
 
-    all_ok = True
-    for check, instance, formula, oracle, good in rows:
-        verdict = "ok" if good else "FAIL"
-        print(f"{check}\t{instance}\t{formula}\t{oracle}\t{verdict}")
-        all_ok = all_ok and good
-    return 0 if all_ok else 1
+    return (0 if all(row[4] for row in rows) else 1), _tsv(
+        (*row[:4], "ok" if row[4] else "FAIL") for row in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,21 +316,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _misuse(args) -> str | None:
+    """What is wrong with a combination of options that argparse lets
+    through, if anything; checked before any file is read."""
+    verify = args.command == "perfect" and args.action == "verify"
+    if verify and args.code is None:
+        return "perfect verify needs a code file"
+    if args.command == "perfect" and args.action == "construct" and args.ideal is None:
+        return "perfect construct needs --ideal"
+    if (verify or args.command == "ballsize") and (args.ideal is None) == (args.radius is None):
+        return "give exactly one of --ideal or --radius"
+    if args.command == "ballsize" and args.center is not None and not args.enumerate:
+        return ("--center only makes sense with --enumerate; "
+                "the closed forms are center independent")
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "perfect":
-        if args.action == "verify" and args.code is None:
-            _err("perfect verify needs a code file")
-            return 2
-        if args.action == "construct" and args.ideal is None:
-            _err("perfect construct needs --ideal")
-            return 2
+    """Run one subcommand. Every exit 2 is decided here, and stdout is
+    written here only, once the handler has returned its whole text, so a
+    run that exits 2 writes nothing to stdout."""
+    args = build_parser().parse_args(argv)
+    misuse = _misuse(args)
+    if misuse is not None:
+        _err(misuse)
+        return 2
     try:
-        return args.handler(load_space(args.space, args.cap), args)
+        status, text = args.handler(load_space(args.space, args.cap), args)
+        sys.stdout.write(text)
     except (OSError, PomsetBlockError, ValueError) as exc:
         _err(str(exc))
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ def r_ball_by_scan(center: pb.BlockVector, r: int) -> list[pb.BlockVector]:
     """Oracle for ``r_ball``: weigh the difference to every vector of the
     space, in odometer order."""
     space = center.space
-    space.check_weight(r, "radius")
+    space.pomset.check_cardinality(r, "radius")
     return [v for v in space.vectors() if (center - v).weight() <= r]
 
 
@@ -202,7 +202,7 @@ def perfect_by_pair_scan(code: pb.Code, ideal: pb.Ideal | None = None,
     if ideal is not None:
         member = lambda c, v: in_i_ball(c, v, ideal)
     else:
-        space.check_weight(radius, "radius")
+        space.pomset.check_cardinality(radius, "radius")
         member = lambda c, v: (c - v).weight() <= radius
     overlap = None
     uncovered = None

@@ -101,6 +101,11 @@ class TestBallsize:
         code, _, err = run(capsys, "ballsize", small)
         assert code == 2
 
+    def test_options_are_checked_before_the_space_file_is_read(self, capsys):
+        code, out, err = run(capsys, "ballsize", "/nonexistent.space")
+        assert (code, out) == (2, "")
+        assert err == "pomsetblock: give exactly one of --ideal or --radius\n"
+
     def test_center_needs_enumerate(self, capsys, small):
         code, _, err = run(capsys, "ballsize", small, "--radius", "2",
                            "--center", "1 1")
@@ -133,6 +138,16 @@ class TestWdist:
         code, out, err = run(capsys, "--cap", "49152", "wdist", str(p))
         assert (code, err) == (0, "")
         assert out == "".join(f"{r}\t{comb(12, r)}\n" for r in range(13)) + "# total 4096\n"
+
+    def test_a_shell_too_long_to_print_leaves_stdout_empty(self, capsys, tmp_path):
+        # the one block's second shell, 2^15000 - 1, has more than the 4300
+        # digits Python will print: the shell of weight 0 above it must not
+        # reach stdout either
+        p = tmp_path / "long.space"
+        p.write_text("m 2\nblocks 15000\n")
+        code, out, err = run(capsys, "wdist", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("pomsetblock: ") and err.count("\n") == 1
 
 
 def binary_space(tmp_path, n: int, chain: bool) -> str:
@@ -218,6 +233,11 @@ class TestPerfect:
                            "--ideal", "2/1")
         assert code == 1
         assert "disjoint\tfalse" in out and "overlap" in out
+
+    def test_verify_options_are_checked_before_the_code_file_is_read(self, capsys, small):
+        code, out, err = run(capsys, "perfect", "verify", small, "/nonexistent.code")
+        assert (code, out) == (2, "")
+        assert err == "pomsetblock: give exactly one of --ideal or --radius\n"
 
     def test_radius_verify(self, capsys, small, tmp_path):
         codefile = tmp_path / "diag.code"

@@ -1,8 +1,8 @@
 """The CLI under fuzz: every subcommand, run in-process through main() with
 a cap of 1000, on malformed space and code files and on integers up to
 10^30 in size, ends in exit 0, 1 or 2, and an exit 2 prints exactly one
-``pomsetblock: `` line on stderr. At most 12 blocks of length at most 3
-keep building the order cheap."""
+``pomsetblock: `` line on stderr and nothing on stdout. At most 12 blocks
+of length at most 3 keep building the order cheap."""
 
 import contextlib
 import io
@@ -112,9 +112,10 @@ def run(case):
 @example(CONSTRUCT)
 @settings(max_examples=150, deadline=None)
 def test_every_subcommand_exits_cleanly(case):
-    status, _, err = run(case)
+    status, out, err = run(case)
     assert status in (0, 1, 2)
     if status == 2:
+        assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pomsetblock: ")
 
