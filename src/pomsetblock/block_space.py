@@ -13,6 +13,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import index
 from typing import Iterator
 
 from .errors import (
@@ -24,7 +25,9 @@ from .errors import (
 from .multiset import Multiset
 from .pomset import Pomset
 
-#: Default guard on exhaustive space enumeration (number of vectors).
+#: Default work guard: on the vectors a scan visits, the words a code is
+#: built with, the codeword pairs weighed, the weight enumerator's
+#: coefficients and the ideals walked (n per ideal).
 DEFAULT_CAP = 10**7
 
 
@@ -77,8 +80,10 @@ def _translate_row(x, m: int, scale: int) -> list[int]:
 class BlockSpace:
     """The space Z_m^N with blocks of lengths ``pi`` ordered by ``pomset``.
 
-    ``cap`` bounds every scan of the space and every code built in it; a
-    resource guard, it takes no part in equality, hashing or the repr.
+    ``cap`` bounds every scan of the space, every code built in it, the
+    codeword pairs a minimum distance weighs, the weight enumerator's
+    coefficients and every ideal walk (n per ideal); a resource guard, it
+    takes no part in equality, hashing or the repr.
     """
 
     __slots__ = ("m", "pomset", "pi", "cap", "_offsets", "_dual",
@@ -89,7 +94,7 @@ class BlockSpace:
             raise ValueError("modulus must be at least 2")
         if cap < 0:
             raise ValueError(f"cap must be non-negative, got {cap}")
-        pi = tuple(int(k) for k in pi)
+        pi = tuple(map(index, pi))
         if any(k < 1 for k in pi):
             raise ValueError("block lengths must be positive")
         if pomset.n != len(pi):
@@ -149,8 +154,8 @@ class BlockSpace:
             raise DimensionMismatch(
                 f"expected {self.N} coordinates, got {len(coords)}"
             )
-        # residues are reduced, not rejected
-        return tuple(int(x) % self.m for x in coords)
+        # residues are reduced, not rejected; a non-integer is a TypeError
+        return tuple(index(x) % self.m for x in coords)
 
     def zero(self) -> BlockVector:
         return BlockVector(self, (0,) * self.N)

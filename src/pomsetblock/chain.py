@@ -230,15 +230,19 @@ class DualityReport:
 
 
 def duality_equivalence(code: Code) -> DualityReport:
-    ideal = _matched_ideal(code)
+    """The bridge on the code and on its dual in the dual space. The dual
+    has m^(N - q) words, and N - q is a multiple of the block length, so
+    its matched ideal is the complement of the code's."""
+    _matched_ideal(code)
     if not code.linear:
         raise NotLinear("the duality equivalence is about linear codes")
-    dualc = dual_code(code).in_space(code.space.dual())
+    primal = mds_iperfect_bridge(code)
+    dual = mds_iperfect_bridge(dual_code(code).in_space(code.space.dual()))
     return DualityReport(
-        mds_primal=singleton_report(code).is_mds,
-        perfect_primal=verify_perfect(code, ideal=ideal).is_perfect,
-        perfect_dual=verify_perfect(dualc, ideal=ideal.complement()).is_perfect,
-        mds_dual=singleton_report(dualc).is_mds,
+        mds_primal=primal.mds,
+        perfect_primal=primal.i_perfect,
+        perfect_dual=dual.i_perfect,
+        mds_dual=dual.mds,
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import accumulate
 
 from . import chain as chain_ops
 from .balls import (
@@ -66,34 +67,29 @@ def _cmd_ideals(space, args) -> tuple[int, str]:
 
 
 def _cmd_ballsize(space, args) -> tuple[int, str]:
-    if args.enumerate:
-        if args.radius is not None:
-            space.pomset.check_cardinality(args.radius, "radius")
-        if args.center is not None:
-            # enumeration at an explicit center, as a cross-check path
-            center = parse_vector(space, args.center)
-            if args.ideal is not None:
-                size = len(i_ball_coords(center, parse_ideal(space, args.ideal)))
-            else:
-                size = len(r_ball_coords(center, args.radius))
-        elif args.ideal is not None:
-            size = i_ball_size_enumerated(space, parse_ideal(space, args.ideal))
-        else:
-            shells = weight_distribution_enumerated(space).shells
-            size = sum(a for r, a in enumerate(shells) if r <= args.radius)
-    elif args.ideal is not None:
-        size = i_ball_size(space, parse_ideal(space, args.ideal))
+    if args.radius is not None:
+        space.pomset.check_cardinality(args.radius, "radius")
+    center = None if args.center is None else parse_vector(space, args.center)
+    ideal = None if args.ideal is None else parse_ideal(space, args.ideal)
+    # --center comes only with --enumerate, as a cross-check path
+    if center is not None and ideal is not None:
+        size = len(i_ball_coords(center, ideal))
+    elif center is not None:
+        size = len(r_ball_coords(center, args.radius))
+    elif args.enumerate and ideal is not None:
+        size = i_ball_size_enumerated(space, ideal)
+    elif args.enumerate:
+        size = sum(weight_distribution_enumerated(space).shells[: args.radius + 1])
+    elif ideal is not None:
+        size = i_ball_size(space, ideal)
     else:
         size = r_ball_size(space, args.radius)
     return 0, _tsv([(size,)])
 
 
 def _cmd_wdist(space, args) -> tuple[int, str]:
-    if args.oracle:
-        shells = weight_distribution_enumerated(space).shells
-    else:
-        shells = weight_distribution(space).shells
-    return 0, _tsv(enumerate(shells)) + f"# total {space.size()}\n"
+    distribution = weight_distribution_enumerated if args.oracle else weight_distribution
+    return 0, _tsv(enumerate(distribution(space).shells)) + f"# total {space.size()}\n"
 
 
 def _cmd_perfect(space, args) -> tuple[int, str]:
@@ -151,85 +147,64 @@ def _cmd_duality4(space, args) -> tuple[int, str]:
     ])
 
 
-def _cmd_selftest(space, args) -> tuple[int, str]:
-    rows: list[tuple[str, str, object, object, bool]] = []
+def _aggregate(kind: str, pairs: list[tuple[int, int]]):
+    """One selftest row for many (closed form, oracle) pairs of ideals:
+    their number, both sums, and whether every pair agrees."""
+    forms, oracles = zip(*pairs)
+    return kind, f"{len(pairs)} ideals", sum(forms), sum(oracles), forms == oracles
 
+
+def _witnessed(space, ideal) -> bool:
+    """Whether the ideal's nonlinearity witness passes its own check."""
+    try:
+        nonlinearity_witness(space, ideal)
+    except AssertionError:
+        return False
+    return True
+
+
+def _cmd_selftest(space, args) -> tuple[int, str]:
     census = support_census(space)
     ball_sizes = down_set_sums(space, census)  # the census below each ideal
     ideals = space.pomset.ideals()
-    top = space.n * space.max_lee
+    rows = [_aggregate("sphere-size-ideal", [
+        (i_sphere_size(space, ideal), census.get(ideal.counts.counts, 0))
+        for ideal in ideals])]
 
-    # per-ideal sphere sizes, closed form vs census
-    ok = True
-    f_sum = o_sum = 0
-    for ideal in ideals:
-        f = i_sphere_size(space, ideal)
-        o = census.get(ideal.counts.counts, 0)
-        f_sum += f
-        o_sum += o
-        ok = ok and f == o
-    rows.append(("sphere-size-ideal", f"{len(ideals)} ideals", f_sum, o_sum, ok))
-
-    # per-radius sphere and ball sizes, all read off one closed-form
-    # distribution
+    # per-radius sphere sizes and their running sums, the ball sizes, all
+    # read off one closed-form distribution
     shells = weight_distribution(space).shells
     by_weight = weight_sums(space, census)
-    running = f_running = 0
-    for r in range(top + 1):
-        f = shells[r]
-        o = by_weight[r]
-        rows.append(("sphere-size", f"r={r}", f, o, f == o))
-        running += o
-        f_running += f
-        rows.append(("ball-size", f"r={r}", f_running, running,
-                     f_running == running))
+    for r, (f, o, f_ball, o_ball) in enumerate(zip(
+            shells, by_weight, accumulate(shells), accumulate(by_weight))):
+        rows += [("sphere-size", f"r={r}", f, o, f == o),
+                 ("ball-size", f"r={r}", f_ball, o_ball, f_ball == o_ball)]
 
-    # block shells per distinct block length
     for k in sorted(set(space.pi)):
-        shells_f = [block_shell_size(space.m, k, r)
-                    for r in range(space.max_lee + 1)]
-        shells_o = [block_shell_size_enumerated(space.m, k, r)
-                    for r in range(space.max_lee + 1)]
-        rows.append((
-            "block-shells", f"k={k}",
-            sum(shells_f), sum(shells_o),
-            shells_f == shells_o and sum(shells_f) == space.m**k,
-        ))
+        radii = range(space.max_lee + 1)
+        shells_f = [block_shell_size(space.m, k, r) for r in radii]
+        shells_o = [block_shell_size_enumerated(space.m, k, r) for r in radii]
+        rows.append(("block-shells", f"k={k}", sum(shells_f), sum(shells_o),
+                     shells_f == shells_o and sum(shells_f) == space.m**k))
 
-    # full-count ball sizes and structure
-    for ideal in ideals:
-        if not ideal.is_full_count():
-            continue
+    full = [ideal for ideal in ideals if ideal.is_full_count()]
+    partial = [ideal for ideal in ideals if not ideal.is_full_count()]
+    for ideal in full:
         f = i_ball_size(space, ideal)
         o = ball_sizes[ideal.counts.counts]
         rows.append(("full-count-ball", ideal.counts.literal(), f, o,
                      full_count_structure(space, ideal).ok and f == o))
-
-    # partial-count ball sizes and non-closure witnesses
-    ok = True
-    f_sum = o_sum = 0
-    witnesses = 0
-    partial_ideals = [i for i in ideals if not i.is_full_count()]
-    for ideal in partial_ideals:
-        f = i_ball_size(space, ideal)
-        o = ball_sizes[ideal.counts.counts]
-        f_sum += f
-        o_sum += o
-        ok = ok and f == o
-        nonlinearity_witness(space, ideal)
-        witnesses += 1
-    if partial_ideals:
-        rows.append(("partial-ball-size", f"{len(partial_ideals)} ideals",
-                     f_sum, o_sum, ok))
+    if partial:
+        rows.append(_aggregate("partial-ball-size", [
+            (i_ball_size(space, ideal), ball_sizes[ideal.counts.counts])
+            for ideal in partial]))
+        witnesses = sum(_witnessed(space, ideal) for ideal in partial)
         rows.append(("partial-ball-nonlinear", f"{witnesses} witnesses",
-                     witnesses, len(partial_ideals),
-                     witnesses == len(partial_ideals)))
+                     witnesses, len(partial), witnesses == len(partial)))
 
-    # chain closed forms
     if space.pomset.is_chain():
-        for r in range(top + 1):
+        for r, o in enumerate(by_weight):
             f = chain_ops.chain_shell_size(space, r)
-            o = by_weight[r]
             rows.append(("chain-shells", f"r={r}", f, o, f == o))
 
     return (0 if all(row[4] for row in rows) else 1), _tsv(

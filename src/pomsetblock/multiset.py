@@ -8,6 +8,7 @@ height. Indices are 1-based everywhere in the public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import DimensionMismatch, ParseError
 
@@ -23,7 +24,7 @@ class Multiset:
             raise ValueError("ground set must have at least one element")
         if self.height < 1:
             raise ValueError("height must be positive")
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(index, self.counts))
         if len(counts) != self.n:
             raise DimensionMismatch(
                 f"expected {self.n} counts, got {len(counts)}"

@@ -9,6 +9,8 @@ element strictly below it.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import CycleDetected, DimensionMismatch, NotAnIdeal, SpaceTooLarge
 from .multiset import Multiset
 
@@ -34,7 +36,8 @@ class Pomset:
 
         preds = [[] for _ in range(n + 1)]
         succs = [[] for _ in range(n + 1)]
-        for i, j in relations:
+        for pair in relations:
+            i, j = map(index, pair)  # a non-integer is a TypeError
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
             if i == j:

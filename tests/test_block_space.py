@@ -63,6 +63,17 @@ class TestConstruction:
         sp = chain_space(5, (1, 1))
         assert sp.vector((7, -1)).coords == (2, 4)
 
+    @pytest.mark.parametrize("bad", [1.7, "1"])
+    def test_non_integer_block_length_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            BlockSpace(5, Pomset(2, 2), (bad, 1))
+
+    @pytest.mark.parametrize("bad", [2.9, "2"])
+    def test_non_integer_residue_is_a_type_error(self, bad):
+        # reduced mod m when an integer, never truncated to one
+        with pytest.raises(TypeError):
+            chain_space(5, (1, 1)).vector((bad, 1))
+
     def test_vector_length_checked(self):
         sp = chain_space(5, (1, 2))
         with pytest.raises(DimensionMismatch):

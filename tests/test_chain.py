@@ -17,6 +17,7 @@ from pomsetblock import (
     chain_space,
     construct_perfect_full,
     construct_perfect_partial,
+    dual_code,
     duality_equivalence,
     is_mds,
     mds_iperfect_bridge,
@@ -283,6 +284,23 @@ class TestDuality4:
             if 4**q != len(code):
                 continue  # e.g. the span of (2, 2) has 2 words
             assert duality_equivalence(code).all_equal
+
+
+    @pytest.mark.parametrize("m, pi, gens", [
+        (5, (1, 1), [(0, 0)]),
+        (5, (1, 1), [(1, 1)]),
+        (5, (1, 1), [(1, 0)]),
+        (4, (1, 1, 1), [(1, 0, 0), (0, 1, 1)]),
+        (3, (2, 2), [(1, 0, 2, 1), (0, 1, 1, 1)]),
+        (3, (2, 2, 2), [(1, 2, 0, 0, 1, 1), (0, 1, 1, 0, 2, 0)]),
+    ])
+    def test_dual_matched_ideal_is_the_complement(self, m, pi, gens):
+        # |C-dual| = m^(N - q) with N - q a multiple of k, so the dual's
+        # own matched ideal is the complement the four-way report uses
+        code = Code.from_generators(chain_space(m, pi), gens)
+        dual = dual_code(code).in_space(code.space.dual())
+        assert (mds_iperfect_bridge(dual).ideal
+                == mds_iperfect_bridge(code).ideal.complement())
 
 
 class TestRepetitionCodes:

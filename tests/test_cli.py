@@ -3,9 +3,12 @@
 import random
 import time
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+from pomsetblock import Multiset, chain, cli
+from pomsetblock.balls import weight_enumerator
 from pomsetblock.cli import main
 
 
@@ -114,6 +117,38 @@ class TestBallsize:
     def test_bad_ideal_literal(self, capsys, small):
         code, _, err = run(capsys, "ballsize", small, "--ideal", "1/2")
         assert code == 2  # {1/2} is not down-closed on the chain
+
+    # each of the six paths, with its options as (flag, bad value, error,
+    # good value) in the order they are checked, then the cap refusal
+    # once all are good (None where the path has no cap to pass)
+    RADIUS = ("--radius", "9", "radius 9 outside 0..4", "2")
+    CENTER = ("--center", "1 2 3", "expected 2 coordinates, got 3", "1 2")
+    IDEAL = ("--ideal", "1/2", "1/2 violates down-closure", "2/1")
+    ENUMERATED = "space has 25 vectors, above the cap 0"
+
+    @pytest.mark.parametrize("scan, options, capped", [
+        (False, [RADIUS], "weight enumerator has 5 coefficients, above the cap 0"),
+        (False, [IDEAL], None),
+        (True, [RADIUS], ENUMERATED),
+        (True, [IDEAL], ENUMERATED),
+        (True, [RADIUS, CENTER], ENUMERATED),
+        (True, [CENTER, IDEAL], ENUMERATED),
+    ], ids=["radius", "ideal", "enumerate-radius", "enumerate-ideal",
+            "center-radius", "center-ideal"])
+    def test_errors_in_one_order_on_every_path(self, capsys, small, scan,
+                                               options, capped):
+        # step s leaves the options before s good and the rest bad
+        head = ["ballsize", small] + ["--enumerate"] * scan
+        for step, (_, _, error, _) in enumerate(options):
+            argv = [a for i, (flag, bad, _, good) in enumerate(options)
+                    for a in (flag, good if i < step else bad)]
+            assert run(capsys, *head, *argv) == (2, "", f"pomsetblock: {error}\n")
+        argv = [a for flag, _, _, good in options for a in (flag, good)]
+        code, out, err = run(capsys, "--cap", "0", *head, *argv)
+        if capped is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"pomsetblock: {capped}\n")
 
 
 class TestWdist:
@@ -330,6 +365,15 @@ class TestMdsDualPackradDuality:
         assert "mds\tfalse" in out and "equivalent\ttrue" in out
 
 
+def _shifted_shells(space, r):
+    """The closed-form shells with one vector moved from shell r to r + 1:
+    sphere rows r and r + 1 and ball row r go wrong."""
+    shells = list(weight_enumerator(space))
+    shells[r] -= 1
+    shells[r + 1] += 1
+    return SimpleNamespace(shells=tuple(shells))
+
+
 class TestSelftest:
     def test_small_chain_passes(self, capsys, small):
         code, out, _ = run(capsys, "selftest", small)
@@ -345,6 +389,36 @@ class TestSelftest:
         rows = out.splitlines()
         assert "partial-ball-size\t118 ideals\t192328\t192328\tok" in rows
         assert "full-count-ball\t3/1 3/2 3/3 3/4 3/5\t16807\t16807\tok" in rows
+
+    @pytest.mark.parametrize("kind, name, forged", [
+        ("sphere-size-ideal", "i_sphere_size", lambda space, ideal: 0),
+        ("sphere-size", "weight_distribution", lambda space: _shifted_shells(space, 0)),
+        ("ball-size", "weight_distribution", lambda space: _shifted_shells(space, 1)),
+        ("block-shells", "block_shell_size", lambda m, k, r: 0),
+        ("full-count-ball", "full_count_structure",
+         lambda space, ideal: SimpleNamespace(ok=False)),
+        ("partial-ball-size", "i_ball_size", lambda space, ideal: 0),
+        ("chain-shells", "chain.i_sphere_size", lambda space, ideal: 0),
+    ])
+    def test_forged_closed_form_fails_its_row(self, capsys, monkeypatch, small,
+                                              kind, name, forged):
+        # each row kind reads a closed form from a name cli (or chain)
+        # imports; a wrong one must print FAIL on that row and exit 1
+        module, _, attr = name.rpartition(".")
+        monkeypatch.setattr(chain if module else cli, attr, forged)
+        code, out, err = run(capsys, "selftest", small)
+        assert (code, err) == (1, "")
+        assert any(row.startswith(f"{kind}\t") and row.endswith("\tFAIL")
+                   for row in out.splitlines())
+
+    def test_failed_witness_is_a_fail_row(self, capsys, monkeypatch, tmp_path):
+        # with no support inside any ideal, no witness passes its own check
+        p = tmp_path / "antichain.space"
+        p.write_text("m 5\nblocks 2 2 2\n")
+        monkeypatch.setattr(Multiset, "__le__", lambda self, other: False)
+        code, out, err = run(capsys, "selftest", str(p))
+        assert (code, err) == (1, "")
+        assert "partial-ball-nonlinear\t0 witnesses\t0\t19\tFAIL" in out.splitlines()
 
     def test_corrupt_space_is_invalid_input(self, capsys, tmp_path):
         p = tmp_path / "bad.space"

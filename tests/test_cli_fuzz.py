@@ -1,13 +1,19 @@
 """The CLI under fuzz: every subcommand, run in-process through main() with
 a cap of 1000, on malformed space and code files and on integers up to
 10^30 in size, ends in exit 0, 1 or 2, and an exit 2 prints exactly one
-``pomsetblock: `` line on stderr and nothing on stdout. At most 12 blocks
-of length at most 3 keep building the order cheap."""
+``pomsetblock: `` line on stderr and nothing on stdout.
+
+Most spaces have at most 12 blocks, small enough that the scans fit the
+cap and run; one in four has 500 to 1500 unit blocks, as an antichain or a
+chain, where the cap and the bitmask orders must keep every path short.
+Blocks stay at length 3 or less: the closed forms still raise m to a
+block's length, which no cap bounds."""
 
 import contextlib
 import io
 import tempfile
 import time
+from itertools import cycle, islice
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -20,19 +26,34 @@ big = st.integers(-HUGE, HUGE)
 moduli = st.one_of(st.integers(2, 9), st.integers(2, HUGE),
                    st.sampled_from([HUGE, HUGE + 1]))
 junk = st.text(alphabet="0123456789 -/<#abmx\n", max_size=30)
+# a literal of more entries than this tiles a few drawn values, which keeps
+# a 1500-entry vector within hypothesis's data budget
+TILED = 100
+
+
+def tiled(length, values):
+    """``length`` entries cycling through the drawn ``values``."""
+    return list(islice(cycle(values), length))
 
 
 @st.composite
 def space_texts(draw):
-    """A space file and its block count; one in four is corrupted."""
-    m = draw(moduli)
-    n = draw(st.one_of(st.integers(1, 4), st.integers(1, 12)))
-    blocks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
-                          max_size=4))
-    # mostly upward pairs, so that most orders are acyclic
-    pairs = [(i, j) if draw(st.integers(0, 7)) else (j, i)
-             for i, j in map(sorted, pairs) if i != j]
+    """A space file, its block count and its length; one in four is
+    corrupted."""
+    if draw(st.integers(0, 3)):
+        m = draw(moduli)
+        n = draw(st.one_of(st.integers(1, 4), st.integers(1, 12)))
+        blocks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                              max_size=4))
+        # mostly upward pairs, so that most orders are acyclic
+        pairs = [(i, j) if draw(st.integers(0, 7)) else (j, i)
+                 for i, j in map(sorted, pairs) if i != j]
+    else:
+        m = draw(st.integers(2, 9))
+        n = draw(st.integers(500, 1500))
+        blocks = [1] * n
+        pairs = [(i, i + 1) for i in range(1, n)] if draw(st.booleans()) else []
     lines = [f"m {m}", "blocks " + " ".join(map(str, blocks))]
     if pairs:
         lines.append("order " + " ".join(f"{i}<{j}" for i, j in pairs))
@@ -46,14 +67,24 @@ def vector_literals(N):
     """N residues, small or huge, and now and then one too few or many."""
     size = st.sampled_from([N] * 12 + [N + 1] + [N - 1] * (N > 1))
     entry = st.one_of(st.integers(-3, 9), big)
-    return size.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k)).map(
-        lambda xs: " ".join(map(str, xs)))
+    if N > TILED:
+        entries = st.tuples(size, st.lists(entry, min_size=1, max_size=3)).map(
+            lambda kv: tiled(*kv))
+    else:
+        entries = size.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+    return entries.map(lambda xs: " ".join(map(str, xs)))
 
 
 def ideal_literals(n):
-    token = st.tuples(big, st.integers(0, n + 1)).map(lambda ci: f"{ci[0]}/{ci[1]}")
-    return st.one_of(st.just("-"), junk,
-                     st.lists(token, max_size=n).map(" ".join))
+    if n > TILED:
+        # counts on blocks 1..j, up to one past the last
+        counts = st.lists(st.one_of(st.integers(0, 4), big), min_size=1, max_size=3)
+        tokens = st.tuples(st.integers(0, n + 1), counts).map(
+            lambda jv: [f"{c}/{i}" for i, c in enumerate(tiled(*jv), 1)])
+    else:
+        token = st.tuples(big, st.integers(0, n + 1)).map(lambda ci: f"{ci[0]}/{ci[1]}")
+        tokens = st.lists(token, max_size=n)
+    return st.one_of(st.just("-"), junk, tokens.map(" ".join))
 
 
 @st.composite

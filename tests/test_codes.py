@@ -57,6 +57,11 @@ class TestCode:
         assert sp.vector((5, 0)) in code
         assert (1, 0) not in code
 
+    @pytest.mark.parametrize("bad", [2.5, "3"])
+    def test_non_integer_word_entry_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            Code(small_chain(), [(bad, 0), (3, 1)])
+
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             Code(small_chain(), [])

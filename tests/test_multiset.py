@@ -56,6 +56,12 @@ class TestBasics:
         assert a.intersection(a) == a
         assert a.is_submset(a)
 
+    @pytest.mark.parametrize("bad", [1.9, "2"])
+    def test_non_integer_count_is_a_type_error(self, bad):
+        # not truncated to a count: 1.9 must not read as 1
+        with pytest.raises(TypeError):
+            Multiset(2, 2, (bad, 2))
+
     def test_complement_of_full_is_empty(self):
         assert Multiset.full(5, 3).complement() == Multiset.empty(5, 3)
 

@@ -46,6 +46,11 @@ class TestConstruction:
         with pytest.raises(CycleDetected):
             Pomset(4, 2, [(1, 2), (2, 3), (3, 1)])
 
+    @pytest.mark.parametrize("bad", [1.5, "1"])
+    def test_non_integer_index_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            Pomset(3, 2, [(bad, 2)])
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             Pomset(3, 2, [(0, 1)])
