@@ -9,8 +9,7 @@ can falsify the other.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, compress, product
 from operator import add
 
@@ -210,12 +209,11 @@ def i_ball_size_enumerated(space: BlockSpace, ideal: Ideal) -> int:
 # ----- full-count ball structure ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FullCountBallReport:
+class FullCountBallReport(
+        namedtuple("FullCountBallReport", "coordinate_form perp_equals_dual_ball")):
     """Structure verification for the ball of a full-count ideal."""
 
-    coordinate_form: bool
-    perp_equals_dual_ball: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

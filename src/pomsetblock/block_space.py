@@ -10,11 +10,10 @@ vector is the cardinality of the ideal generated by that support.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
 from math import prod
 from operator import index
-from typing import Iterator
 
 from .errors import (
     DimensionMismatch,
@@ -90,6 +89,7 @@ class BlockSpace:
                  "_max_lee_tables", "_weights")
 
     def __init__(self, m: int, pomset: Pomset, pi, cap: int = DEFAULT_CAP):
+        m, cap = index(m), index(cap)  # a non-integer is a TypeError
         if m < 2:
             raise ValueError("modulus must be at least 2")
         if cap < 0:
@@ -333,13 +333,29 @@ class BlockSpace:
         return f"BlockSpace(m={self.m}, pi={self.pi}, {self.pomset!r})"
 
 
-@dataclass(frozen=True)
 class BlockVector:
-    space: BlockSpace
-    coords: tuple[int, ...]
+    __slots__ = ("space", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.space._reduce(self.coords))
+    def __init__(self, space: BlockSpace, coords):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coords", space._reduce(coords))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.space, self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.coords) == (other.space, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.coords))
 
     def block(self, i: int) -> tuple[int, ...]:
         lo, hi = self.space.block_bounds(i)

@@ -8,7 +8,7 @@ possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .balls import i_sphere_size, r_ball_coords
 from .block_space import BlockSpace, chain_space
@@ -87,8 +87,7 @@ def packing_radius_chain(code: Code) -> int:
     return code.space.max_lee * (code.min_distance("poset") - 1)
 
 
-@dataclass(frozen=True)
-class SingletonReport:
+class SingletonReport(namedtuple("SingletonReport", "d r prefix_len rhs")):
     """The chain Singleton-type bound for the pomset or the poset block metric.
 
     ``r`` counts the chain prefix blocks pinned by the minimum distance;
@@ -97,10 +96,7 @@ class SingletonReport:
     treated as attaining the bound (``d`` is None then).
     """
 
-    d: int | None
-    r: int
-    prefix_len: int
-    rhs: int
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -134,14 +130,12 @@ def is_mds(code: Code) -> bool:
     return singleton_report(code).is_mds
 
 
-@dataclass(frozen=True)
-class MetricComparisonReport:
+class MetricComparisonReport(
+        namedtuple("MetricComparisonReport", "pomset_mds poset_mds floor_inequality")):
     """Block-metric MDS versus poset-metric MDS, plus the floor inequality
     floor((d_pomset - 1) / floor(m/2)) <= d_poset - 1 that links them."""
 
-    pomset_mds: bool
-    poset_mds: bool
-    floor_inequality: bool
+    __slots__ = ()
 
     @property
     def implication_holds(self) -> bool:
@@ -175,17 +169,14 @@ def _matched_ideal(code: Code) -> Ideal:
     return chain_prefix_ideal(space.pomset, space.max_lee * (space.n - q // k))
 
 
-@dataclass(frozen=True)
-class PerfectMdsBridge:
+class PerfectMdsBridge(namedtuple("PerfectMdsBridge", "ideal mds i_perfect")):
     """MDS versus perfectness at the matched full-count chain ideal.
 
     Both properties are evaluated independently, so either implication
     can be seen to fail rather than assumed.
     """
 
-    ideal: Ideal
-    mds: bool
-    i_perfect: bool
+    __slots__ = ()
 
     @property
     def mds_implies_perfect(self) -> bool:
@@ -207,17 +198,14 @@ def mds_iperfect_bridge(code: Code) -> PerfectMdsBridge:
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(
+        namedtuple("DualityReport", "mds_primal perfect_primal perfect_dual mds_dual")):
     """The four-way equivalence for uniform-block chain codes of size m^q:
     MDS here, perfect at the matched full-count ideal here, the dual code
     perfect at the complement ideal in the dual space, and the dual code
     MDS there. Each statement is evaluated independently."""
 
-    mds_primal: bool
-    perfect_primal: bool
-    perfect_dual: bool
-    mds_dual: bool
+    __slots__ = ()
 
     @property
     def statements(self) -> tuple[bool, bool, bool, bool]:

@@ -294,6 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _misuse(args) -> str | None:
     """What is wrong with a combination of options that argparse lets
     through, if anything; checked before any file is read."""
+    for name, value in vars(args).items():
+        # argparse without the '--' fix (3.10, 3.11, early 3.12) reads --name=-- as []
+        if isinstance(value, list):
+            return f"argument --{name}: expected one argument"
     verify = args.command == "perfect" and args.action == "verify"
     if verify and args.code is None:
         return "perfect verify needs a code file"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .balls import i_ball_coords, r_ball_coords
@@ -117,18 +117,15 @@ class Code:
         return f"Code(|C|={len(self.words)}, space={self.space!r})"
 
 
-@dataclass(frozen=True)
-class PerfectnessCertificate:
+class PerfectnessCertificate(
+        namedtuple("PerfectnessCertificate", "disjoint covering overlap uncovered")):
     """Outcome of a whole-space disjointness-and-cover tally: the two
     verdicts, and as witnesses ``overlap``, the first vector found in two
     codeword balls (with those codewords), and ``uncovered``, the first
-    vector in none.
+    vector in none; a witness that does not exist is None.
     """
 
-    disjoint: bool
-    covering: bool
-    overlap: tuple[BlockVector, BlockVector, BlockVector] | None
-    uncovered: BlockVector | None
+    __slots__ = ()
 
     @property
     def is_perfect(self) -> bool:
@@ -237,14 +234,13 @@ def dual_code(code: Code) -> Code:
     return Code(space, perp, _linear=True)
 
 
-@dataclass(frozen=True)
-class PerpDualityReport:
+class PerpDualityReport(
+        namedtuple("PerpDualityReport", "code_perfect dual_perfect")):
     """Both sides of the full-count perfectness duality, evaluated
     independently: the code against I, its dual against the complement
     ideal in the dual space."""
 
-    code_perfect: bool
-    dual_perfect: bool
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -7,34 +7,47 @@ height. Indices are 1-based everywhere in the public interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .errors import DimensionMismatch, ParseError
 
 
-@dataclass(frozen=True)
 class Multiset:
-    n: int
-    height: int
-    counts: tuple[int, ...]
+    __slots__ = ("n", "height", "counts")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, height: int, counts):
+        n, height = index(n), index(height)  # a non-integer is a TypeError
+        if n < 1:
             raise ValueError("ground set must have at least one element")
-        if self.height < 1:
+        if height < 1:
             raise ValueError("height must be positive")
-        counts = tuple(map(index, self.counts))
-        if len(counts) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} counts, got {len(counts)}"
-            )
+        counts = tuple(map(index, counts))
+        if len(counts) != n:
+            raise DimensionMismatch(f"expected {n} counts, got {len(counts)}")
         for i, c in enumerate(counts, 1):
-            if not 0 <= c <= self.height:
-                raise ValueError(
-                    f"count {c} at index {i} is outside 0..{self.height}"
-                )
+            if not 0 <= c <= height:
+                raise ValueError(f"count {c} at index {i} is outside 0..{height}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "height", height)
         object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.height, self.counts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.height, self.counts) == (
+            other.n, other.height, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.height, self.counts))
 
     # ----- constructors -------------------------------------------------
 

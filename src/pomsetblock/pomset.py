@@ -27,6 +27,7 @@ class Pomset:
     __slots__ = ("n", "height", "_below", "_above", "_dual")
 
     def __init__(self, n: int, height: int, relations=()):
+        n, height = index(n), index(height)  # a non-integer is a TypeError
         if n < 1:
             raise ValueError("ground set must have at least one element")
         if height < 1:

@@ -10,7 +10,7 @@ sums ``balls.support_census`` by cardinality (``balls.weight_sums``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .block_space import BlockSpace, block_max_lee, check_block_weight
@@ -24,20 +24,19 @@ def block_shell_size_enumerated(m: int, k: int, r: int) -> int:
                if block_max_lee(block, m) == r)
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(namedtuple("WeightDistribution", "space shells")):
     """Shell counts A_0..A_{n*floor(m/2)}; sums to the space size."""
 
-    space: BlockSpace
-    shells: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = self.space.n * self.space.max_lee + 1
-        if len(self.shells) != expected:
-            raise ValueError(f"expected {expected} shells, got {len(self.shells)}")
-        if self.shells[0] != 1:
+    def __init__(self, space: BlockSpace, shells: tuple[int, ...]):
+        # tuple.__new__ has stored the fields; this only checks them
+        expected = space.n * space.max_lee + 1
+        if len(shells) != expected:
+            raise ValueError(f"expected {expected} shells, got {len(shells)}")
+        if shells[0] != 1:
             raise ValueError("the zero shell must hold exactly the zero vector")
-        if sum(self.shells) != self.space.size():
+        if sum(shells) != space.size():
             raise ValueError("shells do not sum to the space size")
 
 

@@ -68,6 +68,17 @@ class TestConstruction:
         with pytest.raises(TypeError):
             BlockSpace(5, Pomset(2, 2), (bad, 1))
 
+    @pytest.mark.parametrize("bad", [5.0, "5"])
+    def test_non_integer_modulus_is_a_type_error(self, bad):
+        # 5.0 would reduce residues to floats and count 25.0 vectors
+        with pytest.raises(TypeError):
+            BlockSpace(bad, Pomset(2, 2), (1, 1))
+
+    @pytest.mark.parametrize("bad", [100.0, "100"])
+    def test_non_integer_cap_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            BlockSpace(5, Pomset(2, 2), (1, 1), cap=bad)
+
     @pytest.mark.parametrize("bad", [2.9, "2"])
     def test_non_integer_residue_is_a_type_error(self, bad):
         # reduced mod m when an integer, never truncated to one

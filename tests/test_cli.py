@@ -512,3 +512,33 @@ def test_byte_determinism(capsys, small):
         code, out, _ = run(capsys, "wdist", small)
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["perfect", "construct", "{space}", "--ideal=--"],
+    ["ballsize", "{space}", "--ideal=--"],
+    ["ballsize", "{space}", "--radius=--"],
+    ["ballsize", "{space}", "--radius", "1", "--enumerate", "--center=--"],
+    ["ideals", "{space}", "--card=--"],
+    ["--cap=--", "wdist", "{space}"],
+], ids=["construct-ideal", "ideal", "radius", "center", "card", "cap"])
+def test_an_option_of_dashes_is_invalid_input(capsys, small, argv):
+    # argparse without the "--" fix (3.10, 3.11, early 3.12) reads --name=--
+    # as an empty list, which main refuses; a fixed argparse passes "--" on,
+    # and either argparse or the parser of the value refuses it
+    argv = [a.format(space=small) for a in argv]
+    option = next(a for a in argv if a.endswith("=--"))[:-3]
+    try:
+        parsed = vars(cli.build_parser().parse_args(argv))[option[2:]]
+    except SystemExit:
+        parsed = None
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.splitlines()[-1].startswith("pomsetblock")
+    if isinstance(parsed, list):
+        assert out.err == f"pomsetblock: argument {option}: expected one argument\n"

@@ -126,6 +126,11 @@ def cases(draw):
 CONSTRUCT = (f"m {HUGE + 1}\nblocks 1 1\n", "explicit\n0 0\n",
              ["perfect", "construct", "{space}", f"--ideal={HUGE // 2}/1"])
 
+# argparse without the "--" fix (3.10, 3.11, early 3.12) reads --ideal=--
+# as an empty list, not a string
+DASHES = ("\nm 2\nblocks 1 1 3 3\n", "explicit\n0 0 0 0 0 0 0 0\n",
+          ["perfect", "construct", "{space}", "--ideal=--"])
+
 
 def run(case):
     space, code, argv = case
@@ -141,6 +146,7 @@ def run(case):
 
 @given(cases())
 @example(CONSTRUCT)
+@example(DASHES)
 @settings(max_examples=150, deadline=None)
 def test_every_subcommand_exits_cleanly(case):
     status, out, err = run(case)

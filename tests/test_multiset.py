@@ -62,6 +62,13 @@ class TestBasics:
         with pytest.raises(TypeError):
             Multiset(2, 2, (bad, 2))
 
+    @pytest.mark.parametrize("bad", [2.0, "2"])
+    def test_non_integer_size_or_height_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            Multiset(bad, 2, (1, 1))
+        with pytest.raises(TypeError):
+            Multiset(2, bad, (1, 1))
+
     def test_complement_of_full_is_empty(self):
         assert Multiset.full(5, 3).complement() == Multiset.empty(5, 3)
 

@@ -51,6 +51,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Pomset(3, 2, [(bad, 2)])
 
+    @pytest.mark.parametrize("bad", [3.0, "3"])
+    def test_non_integer_size_or_height_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            Pomset(bad, 2)
+        with pytest.raises(TypeError):
+            Pomset(3, bad)
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             Pomset(3, 2, [(0, 1)])
